@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ContractViolation, RlaodError
+from ..errors import ContractViolation, TrainingDiverged
 
 
 @dataclass
@@ -137,7 +137,7 @@ def adam_step(params: MlpParams, grads: ParamGrads, opt: AdamState) -> None:
     """One bias-corrected Adam update, in place."""
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
-            raise RlaodError("non-finite gradient; training diverged")
+            raise TrainingDiverged("non-finite gradient; training diverged")
     opt.timestep += 1
     t = opt.timestep
     c1 = 1.0 - opt.beta1**t

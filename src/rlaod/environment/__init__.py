@@ -9,7 +9,6 @@ from .detector import (
     brightness_quality,
 )
 from .episode import (
-    SCALE_SCORE_MIN,
     EpisodeState,
     detection_mean_area,
     reset_episode,
@@ -30,7 +29,6 @@ __all__ = [
     "area_quality",
     "brightness_quality",
     "EpisodeState",
-    "SCALE_SCORE_MIN",
     "detection_mean_area",
     "reset_episode",
     "step_episode",

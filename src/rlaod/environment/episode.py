@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ContractViolation
+from ..features import AREA_SCORE_MIN
 from ..imaging import (
     AttributeAction,
     BrightnessModel,
@@ -22,6 +23,7 @@ from ..imaging import (
     estimate_scale_level,
     fit_brightness_base,
     hsv_to_rgb,
+    hue_weights,
     merge_v_channel,
     render_brightness,
     resample_bilinear,
@@ -35,9 +37,6 @@ from ..imaging import (
 from ..metrics import GroundTruthBox, performance_score, reward
 from .detector import DetectorOutput
 from .scene import Scene, scale_boxes
-
-# Detections weaker than this do not vote on the scene's mean object area.
-SCALE_SCORE_MIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,12 @@ class EpisodeState:
     # Cache of the last brightness render (scale-only steps reuse it).
     rendered_frame: object | None = None  # RgbImage, or quantized V when grayscale
     rendered_level_b: float | None = None
+    # hue_weights(hsv0.h), computed on the first RGB render of the episode.
+    hue_weights: np.ndarray | None = None
 
 
 def detection_mean_area(
-    output: DetectorOutput, min_score: float = SCALE_SCORE_MIN
+    output: DetectorOutput, min_score: float = AREA_SCORE_MIN
 ) -> float | None:
     areas = [d.box.area for d in output.detections if d.score >= min_score]
     if not areas:
@@ -144,6 +145,7 @@ def step_episode(
     scene = state.original
     out_w, out_h = scaled_dims(scene.image.width, scene.image.height, cumulative)
     cache_hit = state.rendered_level_b == level_b and state.rendered_frame is not None
+    weights = state.hue_weights
 
     if state.grayscale:
         # Grayscale frames resample one channel and replicate: bilinear
@@ -166,8 +168,10 @@ def step_episode(
         if cache_hit:
             rgb = state.rendered_frame
         else:
+            if weights is None:
+                weights = hue_weights(state.hsv0.h)
             v = render_brightness(state.brightness, level_b)
-            rgb = hsv_to_rgb(merge_v_channel(state.hsv0, v))
+            rgb = hsv_to_rgb(merge_v_channel(state.hsv0, v), weights)
         rendered = rgb
         image = resize_bilinear(rgb, cumulative)
         current_v = value_channel(image)
@@ -196,6 +200,7 @@ def step_episode(
         last_p=p_next,
         rendered_frame=rendered,
         rendered_level_b=level_b,
+        hue_weights=weights,
     )
     terminal = new_state.step == state.horizon
     return (

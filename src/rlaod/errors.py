@@ -19,3 +19,7 @@ class ProtocolError(RlaodError):
 
 class WeightFormatError(RlaodError):
     """Weight file is corrupt, truncated, or has the wrong layout."""
+
+
+class TrainingDiverged(RlaodError):
+    """Training produced a non-finite gradient."""

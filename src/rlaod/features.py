@@ -17,7 +17,8 @@ CONTEXT_DIM = 512
 HIST_BINS = 64
 STATE_DIM = CONTEXT_DIM + HIST_BINS
 
-# Detections weaker than this do not describe the scene's object areas.
+# Detections weaker than this do not describe the scene's object areas: they
+# are left out of the area histogram and of the episode's mean object area.
 AREA_SCORE_MIN = 0.5
 
 

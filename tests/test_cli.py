@@ -1,8 +1,12 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
+from rlaod.agent import init_params
+from rlaod.features import STATE_DIM
+from rlaod.orchestrator import AgentBundle
 from rlaod.orchestrator.cli import main
 
 
@@ -156,3 +160,46 @@ class TestExitCodes:
             )
             == 2
         )
+
+    def test_truncated_weight_file_is_5(self, tmp_path, tiny_config_file, capsys):
+        weights = tmp_path / "w"
+        sizes = (STATE_DIM, 8, 2)
+        AgentBundle(init_params(sizes, seed=1), init_params(sizes, seed=2)).save(weights)
+        rlw = weights / "scale.rlw"
+        rlw.write_bytes(rlw.read_bytes()[:-7])
+        assert (
+            run_cli(
+                "--config", tiny_config_file,
+                "run", "--weights", str(weights), "--out", str(tmp_path / "o"), "--n", "1",
+            )
+            == 5
+        )
+        assert (
+            run_cli(
+                "--config", tiny_config_file,
+                "evaluate", "--modes", "BS4", "--weights", str(weights),
+                "--out", str(tmp_path / "r"), "--n", "1",
+            )
+            == 5
+        )
+        assert capsys.readouterr().err.count("weight file error: ") == 2
+
+    def test_diverged_training_is_6(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "scene": {"width": 64, "height": 64},
+                    "train": {
+                        "iterations_brightness": 40,
+                        "hidden_width": 8,
+                        "warmup": 16,
+                        "learning_rate": 1e300,
+                    },
+                }
+            )
+        )
+        args = ("--config", str(cfg), "train", "--agent", "brightness", "--out", str(tmp_path / "w"))
+        with np.errstate(all="ignore"):
+            assert run_cli(*args) == 6
+        assert "training diverged: " in capsys.readouterr().err

@@ -3,7 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlaod.imaging import HsvImage, RgbImage, hsv_to_rgb, rgb_to_hsv, value_channel
+from conftest import per_call_hsv_to_rgb
+from rlaod.environment import SceneParams, generate_scene
+from rlaod.imaging import (
+    HsvImage,
+    RgbImage,
+    estimate_brightness_level,
+    fit_brightness_base,
+    hsv_to_rgb,
+    hue_weights,
+    merge_v_channel,
+    render_brightness,
+    rgb_to_hsv,
+    value_channel,
+)
 
 
 def single_pixel(r, g, b):
@@ -74,6 +87,40 @@ class TestHsvToRgb:
     def test_round_trip_property(self, r, g, b):
         img = single_pixel(r, g, b)
         assert np.array_equal(hsv_to_rgb(rgb_to_hsv(img)).pixels, img.pixels)
+
+
+class TestHueWeights:
+    def test_tinted_brightness_sweep_is_bit_identical(self):
+        params = SceneParams(width=80, height=56, count_range=(1, 3),
+                             area_range=(300.0, 900.0), tint_strength=0.25)
+        for seed in (3, 4, 5):
+            hsv = rgb_to_hsv(generate_scene(seed, params).image)
+            assert hsv.s.max() > 0.0
+            weights = hue_weights(hsv.h)
+            model = fit_brightness_base(hsv.v, estimate_brightness_level(hsv.v))
+            for level in np.linspace(-1.0, 1.0, 21):
+                img = merge_v_channel(hsv, render_brightness(model, level))
+                want = per_call_hsv_to_rgb(img.h, img.s, img.v)
+                assert np.array_equal(hsv_to_rgb(img, weights).pixels, want)
+                assert np.array_equal(hsv_to_rgb(img).pixels, want)
+
+    def test_out_of_range_channels_match_clamped_formula(self, rng):
+        shape = (17, 23)
+        h = rng.uniform(-720.0, 720.0, shape)
+        s = rng.uniform(-0.5, 1.5, shape)
+        v = rng.uniform(-40.0, 300.0, shape)
+        got = hsv_to_rgb(HsvImage(h=h, s=s, v=v), hue_weights(h)).pixels
+        assert np.array_equal(got, per_call_hsv_to_rgb(h, s, v))
+
+    def test_weights_equal_modulo_formula(self, rng):
+        edges = [-1e-20, -0.0, 0.0, 1e-300, 59.99999999999999, 60.0, 180.0,
+                 359.99999999999994, 360.0, 720.0, -360.0, -1e300]
+        h = np.concatenate([edges, rng.uniform(-1e4, 1e4, 200)]).reshape(4, -1)
+        h60 = (h % 360.0) / 60.0
+        for i, n in enumerate((5.0, 3.0, 1.0)):
+            k = (n + h60) % 6.0
+            want = np.maximum(np.minimum(np.minimum(k, 4.0 - k), 1.0), 0.0)
+            assert np.array_equal(hue_weights(h)[..., i], want)
 
 
 def test_rgb_image_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import per_call_hsv_to_rgb
 from rlaod.environment import (
     DegradeKind,
     DegradeOp,
@@ -13,7 +14,13 @@ from rlaod.environment import (
     step_episode,
 )
 from rlaod.errors import ContractViolation
-from rlaod.imaging import AttributeAction, estimate_scale_level
+from rlaod.imaging import (
+    AttributeAction,
+    RgbImage,
+    estimate_scale_level,
+    render_brightness,
+    resize_bilinear,
+)
 
 PARAMS = SceneParams(width=96, height=96, count_range=(1, 3), area_range=(676.0, 1600.0))
 
@@ -158,6 +165,25 @@ class TestStep:
             slow, _, _, _ = step_episode(slow, a_b, a_s)
             assert np.array_equal(fast.current_image.pixels, slow.current_image.pixels)
             assert fast.last_p == slow.last_p
+
+    def test_tinted_render_matches_per_call_formula(self, detector):
+        # Hue weights are computed once per episode, on the first RGB render;
+        # every frame must equal a fresh per-call conversion bit for bit.
+        from dataclasses import replace
+
+        scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
+        scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
+        ep = reset_episode(scene, detector, 6)
+        assert not ep.grayscale and ep.hue_weights is None
+        B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
+        zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
+        for a_b, a_s in [(None, zo), (B, zi), (B, None), (None, zi), (D, zo), (B, zo)]:
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+            assert ep.hue_weights is not None
+            v = render_brightness(ep.brightness, ep.brightness.level)
+            rgb = RgbImage(pixels=per_call_hsv_to_rgb(ep.hsv0.h, ep.hsv0.s, v))
+            want = resize_bilinear(rgb, ep.cumulative_scale_factor)
+            assert np.array_equal(ep.current_image.pixels, want.pixels)
 
     def test_both_agents_same_reward_value(self, detector):
         scene = degrade(generate_scene(7, PARAMS), DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))

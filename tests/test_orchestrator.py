@@ -6,7 +6,7 @@ import pytest
 
 from rlaod.agent import init_params
 from rlaod.environment import OracleDetector, SceneParams, generate_scene
-from rlaod.errors import ConfigError
+from rlaod.errors import ConfigError, WeightFormatError
 from rlaod.features import STATE_DIM, StateKind
 from rlaod.orchestrator import (
     AgentBundle,
@@ -66,6 +66,14 @@ class TestTraining:
         got, _ = forward(loaded.brightness, x)
         want, _ = forward(bundle.brightness, x)
         assert got == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("sizes", [(STATE_DIM - 1, 8, 2), (STATE_DIM, 8, 3)])
+    def test_load_rejects_wrong_shaped_net(self, tmp_path, sizes):
+        bundle = random_bundle()
+        bundle.scale = init_params(sizes, seed=7)
+        bundle.save(tmp_path)
+        with pytest.raises(WeightFormatError, match="scale.rlw"):
+            AgentBundle.load(tmp_path)
 
     def test_log_rows_match_iterations(self, tmp_path):
         cfg = tiny_config()

@@ -30,6 +30,32 @@ def loop_bilinear(src, out_h, out_w):
     return out
 
 
+def separable_bilinear(values, out_h, out_w):
+    """The separable formula resample_bilinear computes, without cached axis
+    tables or row gathers: convert the whole frame, blend rows, then columns.
+    The results must be equal bit for bit, not merely close."""
+    src = np.asarray(values, dtype=np.float64)
+    h, w = src.shape[:2]
+
+    def coords(n_out, n_in):
+        if n_out == 1:
+            return np.array([(n_in - 1) / 2.0])
+        return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+
+    ys, xs = coords(out_h, h), coords(out_w, w)
+    y0 = np.minimum(np.floor(ys).astype(np.int64), h - 1)
+    x0 = np.minimum(np.floor(xs).astype(np.int64), w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0).reshape(-1, 1)
+    wx = (xs - x0).reshape(1, -1)
+    if src.ndim == 3:
+        wy = wy[..., None]
+        wx = wx[..., None]
+    rows = src[y0] * (1.0 - wy) + src[y1] * wy
+    return rows[:, x0] * (1.0 - wx) + rows[:, x1] * wx
+
+
 def checkerboard():
     return np.array([[0.0, 255.0], [255.0, 0.0]])
 
@@ -66,6 +92,48 @@ class TestResample:
         for factor_dims in ((9, 5), (3, 17)):
             out = resample_bilinear(src, *factor_dims)
             assert out == pytest.approx(np.full(factor_dims, 77.0))
+
+
+# (source h, w) -> (out h, w): upscale, downscale, out == 1, non-square.
+SIZE_PAIRS = [
+    ((7, 5), (11, 9)),
+    ((96, 96), (57, 57)),
+    ((96, 96), (144, 144)),
+    ((31, 64), (64, 17)),
+    ((2, 2), (1, 1)),
+    ((9, 13), (1, 20)),
+    ((12, 10), (25, 1)),
+    ((1, 6), (4, 3)),
+    ((5, 1), (8, 8)),
+]
+
+
+class TestResampleBits:
+    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_equals_separable_formula(self, rng, channels, dtype):
+        for (h, w), (out_h, out_w) in SIZE_PAIRS:
+            shape = (h, w) if channels is None else (h, w, channels)
+            src = rng.integers(0, 256, shape).astype(dtype)
+            if dtype is np.float64:
+                src += rng.uniform(0.0, 1.0, shape)
+            want = separable_bilinear(src, out_h, out_w)
+            for _ in range(2):  # the second call reads the cached tables
+                got = resample_bilinear(src, out_h, out_w)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert np.array_equal(got, want), ((h, w), (out_h, out_w))
+
+    def test_strided_source(self, rng):
+        src = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)[::2, 1::3]
+        assert np.array_equal(resample_bilinear(src, 13, 7), separable_bilinear(src, 13, 7))
+
+    def test_rgb_channels_equal_gray_resample(self, rng):
+        # The gray episode path resamples one channel and replicates it.
+        v = rng.integers(0, 256, (33, 47), dtype=np.uint8)
+        rgb = np.repeat(v[..., None], 3, axis=2)
+        got = resample_bilinear(rgb, 50, 21)
+        for c in range(3):
+            assert np.array_equal(got[..., c], resample_bilinear(v, 50, 21))
 
 
 class TestResizeBilinear:
