@@ -5,7 +5,6 @@ from .dqn import (
     ReplayBuffer,
     TrainConfig,
     Transition,
-    double_dqn_target,
     huber,
     select_action,
     sync_target,
@@ -28,7 +27,6 @@ __all__ = [
     "ReplayBuffer",
     "TrainConfig",
     "Transition",
-    "double_dqn_target",
     "huber",
     "select_action",
     "sync_target",

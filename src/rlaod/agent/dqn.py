@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mlp import AdamState, MlpParams, backward, forward, adam_step
+from .mlp import AdamState, MlpParams, adam_step, backward, forward
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,6 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
     return int(np.argmax(q))
 
 
-def double_dqn_target(
-    tr: Transition, online: MlpParams, target: MlpParams, gamma: float
-) -> float:
-    """Bootstrap value: online net picks the action, target net prices it."""
-    if tr.terminal:
-        return float(tr.reward)
-    q_online, _ = forward(online, tr.next_state)
-    a_star = int(np.argmax(q_online))
-    q_target, _ = forward(target, tr.next_state)
-    return float(tr.reward + gamma * q_target[a_star])
-
-
 def huber(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
     a = np.abs(diff)
     return np.where(a <= delta, 0.5 * diff * diff, delta * (a - 0.5 * delta))
@@ -150,12 +138,19 @@ def train_step(
     n = cfg.batch_size
     rows = np.arange(n)
 
-    q, cache = forward(online, batch.states)
+    # One online pass over states and next states; backward sees the first n rows.
+    x = np.concatenate([batch.states, batch.next_states], dtype=online.flat.dtype)
+    q_both, cache = forward(online, x)
+    q = q_both[:n]
     q_taken = q[rows, batch.actions]
+    cache = replace(
+        cache,
+        activations=[a[:n] for a in cache.activations],
+        relu_masks=[m[:n] for m in cache.relu_masks],
+    )
 
-    q_next_online, _ = forward(online, batch.next_states)
-    a_star = np.argmax(q_next_online, axis=1)
-    q_next_target, _ = forward(target, batch.next_states)
+    a_star = np.argmax(q_both[n:], axis=1)
+    q_next_target, _ = forward(target, x[n:])
     targets = batch.rewards + cfg.gamma * q_next_target[rows, a_star] * ~batch.terminals
 
     diff = q_taken - targets
@@ -170,7 +165,4 @@ def train_step(
 
 def sync_target(online: MlpParams, target: MlpParams) -> None:
     """Copy online parameters into the target network, in place."""
-    for tw, ow in zip(target.weights, online.weights):
-        np.copyto(tw, ow)
-    for tb, ob in zip(target.biases, online.biases):
-        np.copyto(tb, ob)
+    np.copyto(target.flat, online.flat)

@@ -2,11 +2,16 @@
 
 Plain numpy throughout; weights are (n_in, n_out) so activations flow as
 x @ W + b. Rectified-linear hidden layers, affine output head.
+
+Parameters, gradients and Adam moments each live in one flat buffer (all
+weights in layer order, then all biases); the per-layer arrays are views
+into it. Arithmetic follows the dtype of the parameters: inference uses
+float64, training float32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -14,18 +19,60 @@ import numpy as np
 from ..errors import ContractViolation, TrainingDiverged
 
 
-@dataclass
-class MlpParams:
-    layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list, list]:
+    """Per-layer weight (n_in, n_out) and bias (n_out,) views of `flat`."""
+    weights, biases, pos = [], [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
+        pos += n_in * n_out
+    for n_out in sizes[1:]:
+        biases.append(flat[pos : pos + n_out])
+        pos += n_out
+    return weights, biases
 
+
+def _n_params(sizes: tuple[int, ...]) -> int:
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+
+class _LayerBuffer:
+    """One flat buffer with per-layer `weights` and `biases` views."""
+
+    def __init__(self, layer_sizes: Sequence[int], weights, biases):
+        sizes = tuple(int(n) for n in layer_sizes)
+        arrays = [np.asarray(a) for a in (*weights, *biases)]
+        self._bind(sizes, np.empty(_n_params(sizes), dtype=np.result_type(np.float32, *arrays)))
+        views = self.weights + self.biases
+        if len(arrays) != len(views) or any(a.shape != v.shape for a, v in zip(arrays, views)):
+            raise ValueError(f"layer arrays do not match layer sizes {sizes}")
+        for view, a in zip(views, arrays):
+            view[...] = a
+
+    def _bind(self, sizes: tuple[int, ...], flat: np.ndarray) -> None:
+        self.layer_sizes = sizes
+        self.flat = flat
+        self.weights, self.biases = _views(flat, sizes)
+
+    @classmethod
+    def from_flat(cls, layer_sizes: tuple[int, ...], flat: np.ndarray):
+        """Wrap `flat` without copying it."""
+        obj = cls.__new__(cls)
+        obj._bind(tuple(layer_sizes), flat)
+        return obj
+
+
+class MlpParams(_LayerBuffer):
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams.from_flat(self.layer_sizes, self.flat.copy())
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy in `dtype`."""
+        return MlpParams.from_flat(self.layer_sizes, self.flat.astype(dtype))
+
+
+class ParamGrads(_LayerBuffer):
+    def __init__(self, weights, biases):
+        super().__init__((weights[0].shape[0], *(w.shape[1] for w in weights)), weights, biases)
 
 
 @dataclass(frozen=True)
@@ -38,29 +85,22 @@ class ForwardCache:
     single: bool  # input was a single state, not a batch
 
 
-@dataclass
-class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def init_params(layer_sizes: Sequence[int], seed: int) -> MlpParams:
     """He-uniform weights (bound sqrt(6 / fan_in)), zero biases."""
     sizes = tuple(int(n) for n in layer_sizes)
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+    params = MlpParams.from_flat(sizes, np.zeros(_n_params(sizes)))
+    for w, n_in in zip(params.weights, sizes):
         bound = np.sqrt(6.0 / n_in)
-        weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-        biases.append(np.zeros(n_out))
-    return MlpParams(layer_sizes=sizes, weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Q-values for a state (n_in,) or batch (B, n_in), plus the backprop cache."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.flat.dtype)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -74,14 +114,13 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
+        a = a @ w
+        a += b
         if i < last:
-            mask = z > 0.0
-            a = z * mask
+            mask = a > 0.0
+            a *= mask
             masks.append(mask)
             activations.append(a)
-        else:
-            a = z
     q = a[0] if single else a
     return q, ForwardCache(params=params, activations=activations, relu_masks=masks, single=single)
 
@@ -90,7 +129,7 @@ def backward(params: MlpParams, cache: ForwardCache, grad_q: np.ndarray) -> Para
     """Exact gradients of sum(q * grad_q) with respect to all weights and biases."""
     if cache.params is not params:
         raise ContractViolation("cache does not belong to these parameters")
-    g = np.asarray(grad_q, dtype=np.float64)
+    g = np.asarray(grad_q, dtype=params.flat.dtype)
     if cache.single:
         if g.shape != (params.layer_sizes[-1],):
             raise ContractViolation(f"grad_q shape {g.shape} does not match output")
@@ -98,16 +137,14 @@ def backward(params: MlpParams, cache: ForwardCache, grad_q: np.ndarray) -> Para
     elif g.shape != (cache.activations[0].shape[0], params.layer_sizes[-1]):
         raise ContractViolation(f"grad_q shape {g.shape} does not match cached batch")
 
-    n_layers = len(params.weights)
-    d_weights: list[np.ndarray] = [None] * n_layers
-    d_biases: list[np.ndarray] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        a_prev = cache.activations[i]
-        d_weights[i] = a_prev.T @ g
-        d_biases[i] = g.sum(axis=0)
+    grads = ParamGrads.from_flat(params.layer_sizes, np.empty_like(params.flat))
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(cache.activations[i].T, g, out=grads.weights[i])
+        np.sum(g, axis=0, out=grads.biases[i])
         if i > 0:
-            g = (g @ params.weights[i].T) * cache.relu_masks[i - 1]
-    return ParamGrads(weights=d_weights, biases=d_biases)
+            g = g @ params.weights[i].T
+            g *= cache.relu_masks[i - 1]
+    return grads
 
 
 @dataclass
@@ -117,37 +154,44 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     timestep: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None  # first moment, laid out like MlpParams.flat
+    v: np.ndarray | None = None  # second moment
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float = 0.001) -> "AdamState":
-        return cls(
-            lr=lr,
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        def zeros():
+            return np.zeros_like(params.flat)
+
+        return cls(lr=lr, m=zeros(), v=zeros(), scratch=(zeros(), zeros()))
 
 
 def adam_step(params: MlpParams, grads: ParamGrads, opt: AdamState) -> None:
-    """One bias-corrected Adam update, in place."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged("non-finite gradient; training diverged")
+    """One bias-corrected Adam update, in place, over the whole flat buffer.
+
+    Element by element the operations are those of
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), in that order.
+    """
+    g, m, v, p = grads.flat, opt.m, opt.v, params.flat
+    if not np.isfinite(g).all():
+        raise TrainingDiverged("non-finite gradient; training diverged")
     opt.timestep += 1
     t = opt.timestep
     c1 = 1.0 - opt.beta1**t
     c2 = 1.0 - opt.beta2**t
-    for p, g, m, v in (
-        list(zip(params.weights, grads.weights, opt.m_weights, opt.v_weights))
-        + list(zip(params.biases, grads.biases, opt.m_biases, opt.v_biases))
-    ):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    a, b = opt.scratch
+    m *= opt.beta1
+    np.multiply(g, 1.0 - opt.beta1, out=a)
+    m += a
+    v *= opt.beta2
+    np.multiply(g, 1.0 - opt.beta2, out=a)
+    a *= g
+    v += a
+    np.divide(m, c1, out=a)
+    a *= opt.lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += opt.eps
+    a /= b
+    p -= a

@@ -23,3 +23,7 @@ class WeightFormatError(RlaodError):
 
 class TrainingDiverged(RlaodError):
     """Training produced a non-finite gradient."""
+
+
+class ImageFormatError(RlaodError, ValueError):
+    """Image file is unreadable, corrupt, truncated, or in an unsupported layout."""

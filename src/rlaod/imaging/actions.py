@@ -11,14 +11,6 @@ class AttributeAction(Enum):
     ZOOM_IN = "zoom_in"
     ZOOM_OUT = "zoom_out"
 
-    @property
-    def is_brightness(self) -> bool:
-        return self in (AttributeAction.BRIGHTEN, AttributeAction.DARKEN)
-
-    @property
-    def is_scale(self) -> bool:
-        return self in (AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT)
-
 
 BRIGHTNESS_ACTIONS = (AttributeAction.BRIGHTEN, AttributeAction.DARKEN)
 SCALE_ACTIONS = (AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT)

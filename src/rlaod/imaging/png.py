@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ImageFormatError
 from .color import RgbImage
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -62,14 +63,21 @@ def _unfilter(kind: int, row: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndar
             pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
             res[i] = (out[i] + pred) % 256
         else:
-            raise ValueError(f"unknown PNG filter type {kind}")
+            raise ImageFormatError(f"unknown PNG filter type {kind}")
     return res
 
 
 def read_png(path: str | Path) -> RgbImage:
     data = Path(path).read_bytes()
+    try:
+        return _decode_png(data, path)
+    except (struct.error, zlib.error) as exc:
+        raise ImageFormatError(f"{path}: corrupt PNG ({exc})") from exc
+
+
+def _decode_png(data: bytes, path: str | Path) -> RgbImage:
     if not data.startswith(_SIGNATURE):
-        raise ValueError(f"{path}: not a PNG file")
+        raise ImageFormatError(f"{path}: not a PNG file")
 
     pos = len(_SIGNATURE)
     width = height = None
@@ -83,8 +91,10 @@ def read_png(path: str | Path) -> RgbImage:
             width, height, depth, color, _, _, interlace = struct.unpack(
                 ">IIBBBBB", payload
             )
+            if width < 1 or height < 1:
+                raise ImageFormatError(f"{path}: empty image ({width}x{height})")
             if depth != 8 or color != 2 or interlace != 0:
-                raise ValueError(
+                raise ImageFormatError(
                     f"{path}: only 8-bit non-interlaced RGB PNGs supported"
                 )
         elif kind == b"IDAT":
@@ -92,12 +102,12 @@ def read_png(path: str | Path) -> RgbImage:
         elif kind == b"IEND":
             break
     if width is None or not idat:
-        raise ValueError(f"{path}: missing IHDR or IDAT chunk")
+        raise ImageFormatError(f"{path}: missing IHDR or IDAT chunk")
 
     raw = zlib.decompress(idat)
     stride = width * 3
     if len(raw) != height * (stride + 1):
-        raise ValueError(f"{path}: decompressed size mismatch")
+        raise ImageFormatError(f"{path}: decompressed size mismatch")
 
     pixels = np.zeros((height, stride), dtype=np.int64)
     prev = np.zeros(stride, dtype=np.int64)

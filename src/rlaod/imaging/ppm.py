@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ImageFormatError
 from .color import RgbImage
 
 
@@ -18,7 +19,7 @@ def write_ppm(img: RgbImage, path: str | Path) -> None:
 def read_ppm(path: str | Path) -> RgbImage:
     data = Path(path).read_bytes()
     if not data.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
+        raise ImageFormatError(f"{path}: not a binary PPM (P6) file")
 
     # Header: magic, width, height, maxval, each separated by whitespace
     # and optional '#' comment lines, then a single whitespace byte.
@@ -27,17 +28,19 @@ def read_ppm(path: str | Path) -> RgbImage:
     while len(fields) < 3:
         m = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\d+)").match(data, pos)
         if m is None:
-            raise ValueError(f"{path}: malformed PPM header")
+            raise ImageFormatError(f"{path}: malformed PPM header")
         fields.append(int(m.group(1)))
         pos = m.end()
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: empty image ({width}x{height})")
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
 
     expected = width * height * 3
     raster = data[pos : pos + expected]
     if len(raster) != expected:
-        raise ValueError(f"{path}: truncated raster ({len(raster)} of {expected} bytes)")
+        raise ImageFormatError(f"{path}: truncated raster ({len(raster)} of {expected} bytes)")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
     return RgbImage(pixels=pixels.copy())

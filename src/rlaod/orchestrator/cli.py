@@ -9,7 +9,8 @@
 
 Exit codes: 0 success, 1 other package error, 2 configuration error,
 3 detector protocol or transport error, 4 invariant violation, 5 corrupt
-or wrong-shaped weight file, 6 training diverged.
+or wrong-shaped weight file, 6 training diverged, 7 unreadable or corrupt
+image file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ..environment import sample_op, DegradeKind
 from ..errors import (
     ConfigError,
     ContractViolation,
+    ImageFormatError,
     ProtocolError,
     RlaodError,
     TrainingDiverged,
@@ -205,6 +207,7 @@ _EXIT_CODES = (
     (ContractViolation, 4, "invariant violation"),
     (WeightFormatError, 5, "weight file error"),
     (TrainingDiverged, 6, "training diverged"),
+    (ImageFormatError, 7, "image file error"),
     (RlaodError, 1, "error"),
 )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..environment import Scene, SceneParams, generate_scene
-from ..errors import ConfigError
+from ..errors import ConfigError, ImageFormatError
 from ..imaging import estimate_brightness_level, read_ppm, rgb_to_hsv, write_ppm
 from ..imaging.png import read_png, write_png
 from ..metrics import Box2D, GroundTruthBox
@@ -101,7 +101,10 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
     scenes = []
     for entry in data.get("images", []):
         path = manifest_path.parent / entry["file"]
-        image = read_png(path) if path.suffix == ".png" else read_ppm(path)
+        try:
+            image = read_png(path) if path.suffix == ".png" else read_ppm(path)
+        except OSError as exc:
+            raise ImageFormatError(f"cannot read image {path}: {exc}") from exc
         truths = by_image.get(entry["id"], [])
         mean_area = (
             float(sum(t.box.area for t in truths) / len(truths)) if truths else 0.0

@@ -74,7 +74,6 @@ class _EpisodeStream:
         self.cfg = cfg
         self.detector = detector
         self.rng = np.random.default_rng([seed, 0xE9])
-        self.count = 0
 
     def next_episode(self):
         scene_seed = int(self.rng.integers(0, 2**62))
@@ -83,7 +82,6 @@ class _EpisodeStream:
             kinds = _DEGRADE_KINDS[self.kind]
             op = sample_op(kinds[int(self.rng.integers(0, len(kinds)))], self.rng)
             scene = degrade(scene, op)
-        self.count += 1
         return reset_episode(
             scene, self.detector, self.cfg.horizon, self.cfg.literal_scale_rule
         )
@@ -95,7 +93,10 @@ def train_agent(
     seed: int | None = None,
     log_path: str | Path | None = None,
 ):
-    """Train one agent; returns (params, log rows)."""
+    """Train one agent; returns (params, log rows).
+
+    Training runs in float32; the returned params are their float64 widening,
+    so inference on them equals inference on the saved weight file."""
     seed = cfg.train_seed if seed is None else seed
     total = (
         cfg.train.iterations_brightness
@@ -104,7 +105,7 @@ def train_agent(
     )
     actions = BRIGHTNESS_ACTIONS if kind is StateKind.BRIGHTNESS else SCALE_ACTIONS
 
-    online = init_params(cfg.train.layer_sizes(STATE_DIM), seed)
+    online = init_params(cfg.train.layer_sizes(STATE_DIM), seed).astype(np.float32)
     target = online.copy()
     opt = AdamState.for_params(online, lr=cfg.train.learning_rate)
     buffer = ReplayBuffer(cfg.train.buffer_capacity, STATE_DIM)
@@ -166,7 +167,7 @@ def train_agent(
 
     if log_path is not None:
         _write_log(rows, Path(log_path))
-    return online, rows
+    return online.astype(np.float64), rows
 
 
 def train_agents(cfg: RunConfig, out_dir: str | Path | None = None) -> AgentBundle:

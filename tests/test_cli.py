@@ -120,6 +120,29 @@ class TestTrainRunEvaluate:
         assert not (weights / "scale.rlw").exists()
 
 
+class TestDeterminism:
+    """Same seed, same bytes: weights, training logs and report."""
+
+    def test_train_and_evaluate_twice(self, tmp_path, tiny_config_file):
+        outputs = []
+        for run in ("a", "b"):
+            weights, reports = tmp_path / run / "w", tmp_path / run / "r"
+            assert run_cli("--config", tiny_config_file, "--seed", "7", "train", "--out", str(weights)) == 0
+            assert (
+                run_cli(
+                    "--config", tiny_config_file, "--seed", "7",
+                    "evaluate", "--modes", "FR,B4,BS4", "--weights", str(weights),
+                    "--out", str(reports),
+                )
+                == 0
+            )
+            names = ("brightness.rlw", "scale.rlw", "train_brightness.csv", "train_scale.csv")
+            outputs.append(
+                [(weights / n).read_bytes() for n in names] + [(reports / "report.json").read_bytes()]
+            )
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -183,6 +206,23 @@ class TestExitCodes:
             == 5
         )
         assert capsys.readouterr().err.count("weight file error: ") == 2
+
+    def test_truncated_image_is_7(self, tmp_path, tiny_config_file, capsys):
+        data = tmp_path / "data"
+        assert run_cli("--config", tiny_config_file, "gen-data", "--out", str(data), "--n", "2") == 0
+        scene = sorted(data.glob("scene_*.ppm"))[0]
+        scene.write_bytes(scene.read_bytes()[:-100])
+        capsys.readouterr()
+        assert (
+            run_cli(
+                "--config", tiny_config_file,
+                "evaluate", "--modes", "FR", "--data", str(data), "--out", str(tmp_path / "r"),
+            )
+            == 7
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("image file error: ") and "truncated raster" in err
+        assert "Traceback" not in err
 
     def test_diverged_training_is_6(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.json"

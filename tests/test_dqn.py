@@ -6,7 +6,8 @@ from rlaod.agent import (
     ReplayBuffer,
     TrainConfig,
     Transition,
-    double_dqn_target,
+    adam_step,
+    backward,
     forward,
     huber,
     init_params,
@@ -14,6 +15,39 @@ from rlaod.agent import (
     sync_target,
     train_step,
 )
+
+
+def double_dqn_target(tr, online, target, gamma):
+    """Reference oracle for one transition's bootstrap value: the online net
+    picks the action, the target net prices it."""
+    if tr.terminal:
+        return float(tr.reward)
+    q_online, _ = forward(online, tr.next_state)
+    a_star = int(np.argmax(q_online))
+    q_target, _ = forward(target, tr.next_state)
+    return float(tr.reward + gamma * q_target[a_star])
+
+
+def three_forward_train_step(buffer, online, target, opt, cfg, rng):
+    """Reference for train_step with separate online passes over states and
+    next states."""
+    if len(buffer) < cfg.batch_size:
+        return None
+    batch = buffer.sample(cfg.batch_size, rng)
+    n = cfg.batch_size
+    rows = np.arange(n)
+    q, cache = forward(online, batch.states)
+    q_taken = q[rows, batch.actions]
+    q_next_online, _ = forward(online, batch.next_states)
+    a_star = np.argmax(q_next_online, axis=1)
+    q_next_target, _ = forward(target, batch.next_states)
+    targets = batch.rewards + cfg.gamma * q_next_target[rows, a_star] * ~batch.terminals
+    diff = q_taken - targets
+    loss = float(np.mean(huber(diff)))
+    grad_q = np.zeros_like(q)
+    grad_q[rows, batch.actions] = np.clip(diff, -1.0, 1.0) / n
+    adam_step(online, backward(online, cache, grad_q), opt)
+    return loss
 
 
 def make_transition(rng, dim=4, terminal=False, reward=0.0):
@@ -180,6 +214,40 @@ class TestTrainStep:
         d = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
         expected = np.array([2.5, 0.5, 0.125, 0.0, 0.125, 0.5, 1.5])
         assert huber(d) == pytest.approx(expected)
+
+
+class TestTrainStepBits:
+    def test_matches_three_forward_version(self):
+        # Acceptance-sized net and batch, float64: one merged online pass must
+        # give the same losses and parameters as separate passes.
+        cfg = TrainConfig(batch_size=32, learning_rate=0.003)
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(capacity=512, state_dim=576)
+        for _ in range(300):
+            buf.push(
+                Transition(
+                    state=rng.uniform(0.0, 1.0, size=576),
+                    action=int(rng.integers(0, 2)),
+                    reward=float(rng.integers(-1, 2)),
+                    next_state=rng.uniform(0.0, 1.0, size=576),
+                    terminal=bool(rng.random() < 0.2),
+                )
+            )
+        nets = []
+        for _ in range(2):
+            online = init_params(cfg.layer_sizes(576), seed=21)
+            nets.append((online, online.copy(), AdamState.for_params(online, lr=cfg.learning_rate)))
+        losses = {}
+        for (online, target, opt), step_fn in zip(nets, (train_step, three_forward_train_step)):
+            batch_rng = np.random.default_rng(9)
+            losses[step_fn] = []
+            for it in range(40):
+                losses[step_fn].append(step_fn(buf, online, target, opt, cfg, batch_rng))
+                if (it + 1) % 10 == 0:
+                    sync_target(online, target)
+        assert losses[train_step] == losses[three_forward_train_step]
+        assert np.array_equal(nets[0][0].flat, nets[1][0].flat)
+        assert np.array_equal(nets[0][2].m, nets[1][2].m)
 
 
 class TestSyncTarget:

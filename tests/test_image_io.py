@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rlaod.errors import ImageFormatError
 from rlaod.imaging import RgbImage, read_ppm, write_ppm
 from rlaod.imaging.png import read_png, write_png
 
@@ -44,6 +45,20 @@ class TestPpm:
             read_ppm(path)
 
 
+    def test_rejects_empty_image(self, tmp_path):
+        path = tmp_path / "e.ppm"
+        path.write_bytes(b"P6\n0 4\n255\n")
+        with pytest.raises(ImageFormatError):
+            read_ppm(path)
+
+    def test_truncated_is_image_format_error(self, image, tmp_path):
+        path = tmp_path / "t.ppm"
+        write_ppm(image, path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ImageFormatError, match="truncated raster"):
+            read_ppm(path)
+
+
 class TestPng:
     def test_round_trip(self, image, tmp_path):
         path = tmp_path / "img.png"
@@ -55,6 +70,24 @@ class TestPng:
         path = tmp_path / "x.png"
         path.write_bytes(b"definitely not a png")
         with pytest.raises(ValueError):
+            read_png(path)
+
+    def test_corrupt_idat_is_image_format_error(self, image, tmp_path):
+        path = tmp_path / "c.png"
+        write_png(image, path)
+        data = bytearray(path.read_bytes())
+        idat = data.index(b"IDAT") + 4
+        data[idat : idat + 8] = b"\xff" * 8  # zlib header and first block
+        path.write_bytes(bytes(data))
+        with pytest.raises(ImageFormatError):
+            read_png(path)
+
+    def test_short_ihdr_is_image_format_error(self, tmp_path):
+        from rlaod.imaging.png import _SIGNATURE, _chunk
+
+        path = tmp_path / "s.png"
+        path.write_bytes(_SIGNATURE + _chunk(b"IHDR", b"\x00\x00") + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError):
             read_png(path)
 
     def test_reads_filtered_rows(self, image, tmp_path):

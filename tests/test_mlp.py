@@ -11,6 +11,7 @@ from rlaod.agent import (
     init_params,
     load_params,
     save_params,
+    sync_target,
 )
 from rlaod.errors import ContractViolation, RlaodError, WeightFormatError
 
@@ -178,6 +179,149 @@ class TestBackward:
         _, cache = forward(p1, rng.normal(size=5))
         with pytest.raises(ContractViolation):
             backward(p2, cache, np.zeros(2))
+
+
+def per_layer_backward(params, cache, grad_q):
+    """The per-layer backward the flat one replaced, as a bit reference."""
+    g = np.asarray(grad_q, dtype=params.flat.dtype)
+    n_layers = len(params.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        d_weights[i] = cache.activations[i].T @ g
+        d_biases[i] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ params.weights[i].T) * cache.relu_masks[i - 1]
+    return d_weights, d_biases
+
+
+class PerLayerAdam:
+    """The per-layer Adam update the flat one replaced, as a bit reference."""
+
+    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(a) for a in params.weights + params.biases]
+        self.v = [np.zeros_like(a) for a in params.weights + params.biases]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params.weights + params.biases, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class TestFlatBuffer:
+    def test_views_alias_flat(self):
+        p = init_params([6, 5, 3, 2], seed=4)
+        packed = np.concatenate([a.ravel() for a in p.weights + p.biases])
+        assert np.array_equal(packed, p.flat)
+        for a in p.weights + p.biases:
+            assert np.shares_memory(a, p.flat)
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.weights[0][0, 1] == 1.0
+        assert p.biases[-1][-1] == p.flat.size - 1
+        p.weights[1][2, 0] = -7.0
+        assert p.flat[30 + 2 * 3] == -7.0
+
+    def test_constructor_packs_lists(self):
+        weights = [np.full((3, 2), 1.5), np.full((2, 2), -2.0)]
+        biases = [np.array([0.25, 0.5]), np.array([1.0, 2.0])]
+        p = MlpParams(layer_sizes=(3, 2, 2), weights=weights, biases=biases)
+        assert p.flat.dtype == np.float64
+        assert np.array_equal(p.flat, [1.5] * 6 + [-2.0] * 4 + [0.25, 0.5, 1.0, 2.0])
+        weights[0][0, 0] = 9.0
+        assert p.weights[0][0, 0] == 1.5  # packed by copy
+        g = ParamGrads(weights, biases)
+        assert g.layer_sizes == (3, 2, 2)
+        assert np.array_equal(g.weights[0], weights[0])
+
+    def test_constructor_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            MlpParams(layer_sizes=(3, 2, 2), weights=[np.zeros((3, 2)), np.zeros((3, 2))],
+                      biases=[np.zeros(2), np.zeros(2)])
+        with pytest.raises(ValueError):
+            MlpParams(layer_sizes=(3, 2), weights=[np.zeros((3, 2))], biases=[])
+
+    def test_copy_is_deep(self):
+        p = init_params([4, 3, 2], seed=1)
+        c = p.copy()
+        assert not np.shares_memory(c.flat, p.flat)
+        for a in c.weights + c.biases:
+            assert np.shares_memory(a, c.flat)
+        c.weights[0][0, 0] += 1.0
+        c.biases[0][0] += 1.0
+        assert c.weights[0][0, 0] != p.weights[0][0, 0]
+        assert c.biases[0][0] != p.biases[0][0]
+
+    def test_astype_round_trip(self):
+        p = init_params([4, 3, 2], seed=1)
+        narrow = p.astype(np.float32)
+        assert narrow.flat.dtype == np.float32 and narrow.weights[0].dtype == np.float32
+        assert narrow.layer_sizes == p.layer_sizes
+        wide = narrow.astype(np.float64)
+        assert np.array_equal(wide.flat, p.flat.astype(np.float32).astype(np.float64))
+
+    def test_sync_target_copies(self):
+        online = init_params([4, 3, 2], seed=0)
+        target = init_params([4, 3, 2], seed=1)
+        flat_before = target.flat
+        sync_target(online, target)
+        assert target.flat is flat_before
+        assert np.array_equal(target.flat, online.flat)
+        assert not np.shares_memory(target.flat, online.flat)
+        online.flat += 1.0
+        assert not np.array_equal(target.flat, online.flat)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_and_backward_follow_params_dtype(self, dtype, rng):
+        p = init_params([6, 5, 2], seed=2).astype(dtype)
+        q, cache = forward(p, rng.normal(size=(3, 6)))
+        assert q.dtype == dtype
+        grads = backward(p, cache, np.ones((3, 2)))
+        assert grads.flat.dtype == dtype
+        for a in grads.weights + grads.biases:
+            assert np.shares_memory(a, grads.flat)
+
+
+class TestFlatBits:
+    """The flat-buffer code keeps the per-layer code's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_matches_per_layer(self, dtype, rng):
+        p = init_params([576, 128, 128, 128, 128, 128, 2], seed=8).astype(dtype)
+        x = rng.uniform(0.0, 1.0, size=(32, 576))
+        _, cache = forward(p, x)
+        gq = rng.normal(size=(32, 2)) / 32
+        grads = backward(p, cache, gq)
+        want_w, want_b = per_layer_backward(p, cache, gq)
+        for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adam_matches_per_layer(self, dtype, rng):
+        flat_p = init_params([12, 9, 7, 2], seed=3).astype(dtype)
+        ref_p = flat_p.copy()
+        opt = AdamState.for_params(flat_p, lr=0.003)
+        ref = PerLayerAdam(ref_p, lr=0.003)
+        for step in range(12):
+            scale = 10.0 ** rng.integers(-6, 2)
+            grad_arrays = [
+                (rng.normal(size=a.shape) * scale).astype(dtype) for a in flat_p.weights + flat_p.biases
+            ]
+            n = len(flat_p.weights)
+            adam_step(flat_p, ParamGrads(grad_arrays[:n], grad_arrays[n:]), opt)
+            ref.step(ref_p, grad_arrays)
+            assert flat_p.flat.dtype == dtype
+            for got, want in zip(flat_p.weights + flat_p.biases, ref_p.weights + ref_p.biases):
+                assert np.array_equal(got, want), f"step {step}"
+            assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+            assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
 
 class TestAdam:

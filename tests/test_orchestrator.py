@@ -6,7 +6,7 @@ import pytest
 
 from rlaod.agent import init_params
 from rlaod.environment import OracleDetector, SceneParams, generate_scene
-from rlaod.errors import ConfigError, WeightFormatError
+from rlaod.errors import ConfigError, ImageFormatError, WeightFormatError
 from rlaod.features import STATE_DIM, StateKind
 from rlaod.orchestrator import (
     AgentBundle,
@@ -66,6 +66,19 @@ class TestTraining:
         got, _ = forward(loaded.brightness, x)
         want, _ = forward(bundle.brightness, x)
         assert got == pytest.approx(want, abs=1e-4)
+
+    def test_in_memory_bundle_evaluates_like_reloaded(self, tmp_path):
+        # Training returns the float64 widening of float32 weights, which the
+        # float32 weight file stores exactly.
+        cfg = tiny_config(n_eval_scenes=3)
+        trained = train_agents(cfg, tmp_path)
+        loaded = AgentBundle.load(tmp_path)
+        for net in ("brightness", "scale"):
+            assert np.array_equal(getattr(trained, net).flat, getattr(loaded, net).flat)
+        modes = [EvalMode.FR, EvalMode.B4, EvalMode.BS4]
+        got = evaluate_modes(cfg, modes, trained)
+        want = evaluate_modes(cfg, modes, loaded)
+        assert {m: r.to_dict() for m, r in got.items()} == {m: r.to_dict() for m, r in want.items()}
 
     @pytest.mark.parametrize("sizes", [(STATE_DIM - 1, 8, 2), (STATE_DIM, 8, 3)])
     def test_load_rejects_wrong_shaped_net(self, tmp_path, sizes):
@@ -202,6 +215,20 @@ class TestDataset:
         scenes = load_dataset(manifest)
         assert len(scenes) == 2
         assert scenes[0].image.width == cfg.scene.width
+
+    @pytest.mark.parametrize("image_format", ["ppm", "png"])
+    def test_unreadable_image_is_image_format_error(self, tmp_path, image_format):
+        cfg = tiny_config()
+        manifest = generate_dataset(
+            tmp_path / "d", seed=9, count=2, params=cfg.scene, image_format=image_format
+        )
+        first, second = sorted((tmp_path / "d").glob(f"*.{image_format}"))
+        first.write_bytes(first.read_bytes()[:-40])
+        with pytest.raises(ImageFormatError, match=first.name):
+            load_dataset(manifest)
+        first.unlink()
+        with pytest.raises(ImageFormatError, match="cannot read image"):
+            load_dataset(manifest)
 
 
 class TestEvaluation:
