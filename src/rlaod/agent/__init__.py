@@ -21,25 +21,3 @@ from .mlp import (
     init_params,
 )
 from .weights_io import MAGIC, load_params, save_params
-
-__all__ = [
-    "Batch",
-    "ReplayBuffer",
-    "TrainConfig",
-    "Transition",
-    "huber",
-    "select_action",
-    "sync_target",
-    "train_step",
-    "AdamState",
-    "ForwardCache",
-    "MlpParams",
-    "ParamGrads",
-    "adam_step",
-    "backward",
-    "forward",
-    "init_params",
-    "MAGIC",
-    "load_params",
-    "save_params",
-]

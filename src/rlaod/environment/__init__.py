@@ -15,26 +15,4 @@ from .episode import (
     step_episode,
 )
 from .external import ExternalDetector
-from .scene import Scene, SceneParams, generate_scene, scale_boxes
-
-__all__ = [
-    "DegradeKind",
-    "DegradeOp",
-    "SAMPLING_RANGES",
-    "degrade",
-    "sample_op",
-    "DetectorCalibration",
-    "DetectorOutput",
-    "OracleDetector",
-    "area_quality",
-    "brightness_quality",
-    "EpisodeState",
-    "detection_mean_area",
-    "reset_episode",
-    "step_episode",
-    "ExternalDetector",
-    "Scene",
-    "SceneParams",
-    "generate_scene",
-    "scale_boxes",
-]
+from .scene import Scene, SceneParams, clip_scaled_box, generate_scene, scale_boxes

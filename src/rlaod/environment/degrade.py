@@ -15,9 +15,8 @@ from ..imaging import (
     render_brightness,
     resize_bilinear,
     rgb_to_hsv,
-    scaled_dims,
 )
-from .scene import Scene, scale_boxes
+from .scene import Scene, resized_truths
 
 
 class DegradeKind(Enum):
@@ -73,13 +72,7 @@ def degrade(scene: Scene, op: DegradeOp) -> Scene:
     else:
         factor = op.magnitude
         image = resize_bilinear(scene.image, factor)
-        out_w, out_h = scaled_dims(scene.image.width, scene.image.height, factor)
-        truths = scale_boxes(
-            scene.truths,
-            factor,
-            max(float(out_w), scene.image.width * factor),
-            max(float(out_h), scene.image.height * factor),
-        )
+        truths = resized_truths(scene, factor, image.width, image.height)
     return Scene(
         image=image,
         truths=truths,

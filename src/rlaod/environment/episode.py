@@ -29,6 +29,7 @@ from ..imaging import (
     resample_bilinear,
     resize_bilinear,
     rgb_to_hsv,
+    scale_factor_for_step,
     scaled_dims,
     update_brightness_level,
     update_scale_level,
@@ -36,7 +37,7 @@ from ..imaging import (
 )
 from ..metrics import GroundTruthBox, performance_score, reward
 from .detector import DetectorOutput
-from .scene import Scene, scale_boxes
+from .scene import Scene, resized_truths
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class EpisodeState:
     current_truths: list[GroundTruthBox]
     last_output: DetectorOutput
     last_p: float
-    literal_scale_rule: bool = False
     grayscale: bool = False
     # Cache of the last brightness render (scale-only steps reuse it).
     rendered_frame: object | None = None  # RgbImage, or quantized V when grayscale
@@ -73,12 +73,7 @@ def detection_mean_area(
     return float(np.mean(areas))
 
 
-def reset_episode(
-    scene: Scene,
-    detector,
-    horizon: int,
-    literal_scale_rule: bool = False,
-) -> EpisodeState:
+def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     """Run the detector once and fit the episode's attribute models."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -104,7 +99,6 @@ def reset_episode(
         current_truths=list(scene.truths),
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
-        literal_scale_rule=literal_scale_rule,
         grayscale=bool(hsv.s.max() <= 0.0),
     )
 
@@ -134,12 +128,7 @@ def step_episode(
         level_s = update_scale_level(level_s, action_s)
 
     theta = state.scale.theta
-    if state.literal_scale_rule:
-        # Comparison mode: compound by theta^level each step instead of
-        # tracking the level delta.
-        cumulative = state.cumulative_scale_factor * theta**level_s
-    else:
-        cumulative = theta ** (level_s - state.initial_scale_level)
+    cumulative = scale_factor_for_step(state.initial_scale_level, level_s, theta)
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
@@ -176,12 +165,7 @@ def step_episode(
         image = resize_bilinear(rgb, cumulative)
         current_v = value_channel(image)
 
-    truths = scale_boxes(
-        scene.truths,
-        cumulative,
-        max(float(out_w), scene.image.width * cumulative),
-        max(float(out_h), scene.image.height * cumulative),
-    )
+    truths = resized_truths(scene, cumulative, out_w, out_h)
 
     output = state.detector.detect(image, truths, scene.seed, precomputed_v=current_v)
     p_next = performance_score(output.detections, truths)

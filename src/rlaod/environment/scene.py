@@ -168,6 +168,20 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     )
 
 
+def clip_scaled_box(box: Box2D, factor: float, width: float, height: float) -> Box2D:
+    """Multiply a box by a linear factor and clip it to a width x height frame.
+
+    Bounds may be the unrounded scaled dimensions. A box that leaves the
+    frame collapses to a 1e-6 sliver at its edge, so it stays non-degenerate.
+    """
+    return Box2D(
+        x_min=min(max(box.x_min * factor, 0.0), width - 1e-6),
+        y_min=min(max(box.y_min * factor, 0.0), height - 1e-6),
+        x_max=max(min(box.x_max * factor, float(width)), 1e-6),
+        y_max=max(min(box.y_max * factor, float(height)), 1e-6),
+    )
+
+
 def scale_boxes(
     truths: Sequence[GroundTruthBox], factor: float, width: float, height: float
 ) -> list[GroundTruthBox]:
@@ -176,18 +190,19 @@ def scale_boxes(
     Coordinates multiply by the exact factor so compositions of factors
     commute; bounds may be passed as the unrounded scaled dimensions.
     """
-    out = []
-    for t in truths:
-        b = t.box
-        out.append(
-            GroundTruthBox(
-                box=Box2D(
-                    x_min=min(max(b.x_min * factor, 0.0), width - 1e-6),
-                    y_min=min(max(b.y_min * factor, 0.0), height - 1e-6),
-                    x_max=max(min(b.x_max * factor, float(width)), 1e-6),
-                    y_max=max(min(b.y_max * factor, float(height)), 1e-6),
-                ),
-                category=t.category,
-            )
-        )
-    return out
+    return [
+        GroundTruthBox(box=clip_scaled_box(t.box, factor, width, height), category=t.category)
+        for t in truths
+    ]
+
+
+def resized_truths(scene: Scene, factor: float, out_w: int, out_h: int) -> list[GroundTruthBox]:
+    """The scene's truths for its image resized by `factor` to out_w x out_h.
+
+    Boxes clip to the larger of the rounded and the exact scaled size, so a
+    box at the image edge is not cut by the rounding of the output size.
+    """
+    w, h = scene.image.width, scene.image.height
+    return scale_boxes(
+        scene.truths, factor, max(float(out_w), w * factor), max(float(out_h), h * factor)
+    )

@@ -35,36 +35,3 @@ from .scale import (
     scale_factor_for_step,
     update_scale_level,
 )
-
-__all__ = [
-    "AttributeAction",
-    "BRIGHTNESS_ACTIONS",
-    "SCALE_ACTIONS",
-    "BrightnessModel",
-    "FIT_LEVEL_LIMIT",
-    "estimate_brightness_level",
-    "fit_brightness_base",
-    "interpolated_quantiles",
-    "render_brightness",
-    "update_brightness_level",
-    "HsvImage",
-    "RgbImage",
-    "hsv_to_rgb",
-    "hue_weights",
-    "merge_v_channel",
-    "rgb_to_hsv",
-    "value_channel",
-    "read_ppm",
-    "write_ppm",
-    "MAX_SIDE",
-    "MIN_SIDE",
-    "resample_bilinear",
-    "resize_bilinear",
-    "scaled_dims",
-    "ScaleModel",
-    "DEFAULT_ALPHA0",
-    "DEFAULT_THETA",
-    "estimate_scale_level",
-    "scale_factor_for_step",
-    "update_scale_level",
-]

@@ -21,33 +21,3 @@ from .pipeline import (
 )
 from .report import METRICS, emit_payload, emit_report, load_report
 from .training import train_agent, train_agents
-
-__all__ = [
-    "MODE_ORDER",
-    "EvalMode",
-    "RunConfig",
-    "build_detector",
-    "desk_scene_params",
-    "load_config",
-    "generate_dataset",
-    "load_dataset",
-    "write_dataset",
-    "EvalImage",
-    "ModeResult",
-    "build_eval_set",
-    "evaluate_mode",
-    "evaluate_modes",
-    "AgentBundle",
-    "EpisodeResult",
-    "StepRecord",
-    "agent_state",
-    "map_detections_back",
-    "run_episode",
-    "run_rl_aod",
-    "METRICS",
-    "emit_payload",
-    "emit_report",
-    "load_report",
-    "train_agent",
-    "train_agents",
-]

@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-from ..environment import degrade as degrade_scene
-from ..environment import sample_op, DegradeKind
 from ..errors import (
     ConfigError,
     ContractViolation,
@@ -37,12 +35,10 @@ from ..imaging import write_ppm
 from ..imaging.png import write_png
 from .config import EvalMode, RunConfig, build_detector, load_config
 from .dataset import generate_dataset, load_dataset, write_dataset
-from .evaluation import evaluate_modes
+from .evaluation import degradation_variants, evaluate_modes
 from .pipeline import AgentBundle, run_rl_aod
 from .report import emit_payload, emit_report, load_report
 from .training import train_agent, train_agents
-
-import numpy as np
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -101,22 +97,8 @@ def _cmd_gen_data(args, cfg: RunConfig) -> int:
 
 
 def _cmd_degrade(args, cfg: RunConfig) -> int:
-    scenes = load_dataset(args.data)
-    expanded = []
-    next_id = 0
-    for scene in scenes:
-        rng = np.random.default_rng([scene.seed, 0xDE6])
-        variants = [scene]
-        for kind in (
-            DegradeKind.OVER_EXPOSE,
-            DegradeKind.UNDER_EXPOSE,
-            DegradeKind.ZOOM_OUT,
-            DegradeKind.ZOOM_IN,
-        ):
-            variants.append(degrade_scene(scene, sample_op(kind, rng)))
-        for v in variants:
-            expanded.append(dataclasses.replace(v, seed=next_id))
-            next_id += 1
+    variants = [im.scene for scene in load_dataset(args.data) for im in degradation_variants(scene)]
+    expanded = [dataclasses.replace(v, seed=i) for i, v in enumerate(variants)]
     manifest = write_dataset(expanded, args.out, cfg.image_format)
     print(manifest)
     return 0
@@ -147,7 +129,7 @@ def _cmd_run(args, cfg: RunConfig) -> int:
         scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(args.n)]
     detector = build_detector(cfg)
     horizon = args.horizon or cfg.horizon
-    results = run_rl_aod(scenes, bundle, detector, horizon, cfg.literal_scale_rule)
+    results = run_rl_aod(scenes, bundle, detector, horizon)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -83,7 +83,6 @@ class RunConfig:
     degraded_fraction: float = 0.8
     n_eval_scenes: int = 300
     image_format: str = "ppm"  # "ppm" or "png"
-    literal_scale_rule: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
     scene: SceneParams = field(default_factory=desk_scene_params)
     calibration: DetectorCalibration = field(default_factory=DetectorCalibration)

@@ -8,6 +8,7 @@ Manifest layout:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -78,8 +79,43 @@ def generate_dataset(
     return write_dataset(scenes, out_dir, image_format)
 
 
+def _field(entry, key: str, where: str):
+    """entry[key], or a ConfigError naming the manifest entry that lacks it."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ConfigError(f"{where} has no {key!r}")
+    return entry[key]
+
+
+def _image_id(entry, key: str, where: str) -> int:
+    try:
+        return int(_field(entry, key, where))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: bad {key}: {exc}") from exc
+
+
+def _truth(ann, where: str) -> GroundTruthBox:
+    """The ground-truth box of one manifest annotation ([x, y, w, h])."""
+    bbox = _field(ann, "bbox", where)
+    if not (
+        isinstance(bbox, list)
+        and len(bbox) == 4
+        and all(isinstance(v, (int, float)) and math.isfinite(v) for v in bbox)
+    ):
+        raise ConfigError(f"{where}: bbox {bbox!r} is not 4 finite numbers")
+    x, y, w, h = (float(v) for v in bbox)
+    try:
+        return GroundTruthBox(box=Box2D(x, y, x + w, y + h), category=int(ann.get("category", 0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_dataset(manifest_path: str | Path) -> list[Scene]:
-    """Read a manifest back into Scene values (nominal stats recomputed)."""
+    """Read a manifest back into Scene values (nominal stats recomputed).
+
+    A manifest that cannot be read, or whose entries lack a key or hold a
+    bad box, raises ConfigError; an image that cannot be read raises
+    ImageFormatError.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
@@ -87,25 +123,28 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
         data = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"manifest {manifest_path} must contain a JSON object")
+    for key in ("images", "annotations"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"manifest {manifest_path}: {key!r} must be a list")
 
     by_image: dict[int, list[GroundTruthBox]] = {}
-    for ann in data.get("annotations", []):
-        x, y, w, h = ann["bbox"]
-        by_image.setdefault(ann["image_id"], []).append(
-            GroundTruthBox(
-                box=Box2D(float(x), float(y), float(x) + float(w), float(y) + float(h)),
-                category=int(ann.get("category", 0)),
-            )
-        )
+    for i, ann in enumerate(data.get("annotations", [])):
+        where = f"{manifest_path}: annotation {i}"
+        image_id = _image_id(ann, "image_id", where)
+        by_image.setdefault(image_id, []).append(_truth(ann, where))
 
     scenes = []
-    for entry in data.get("images", []):
-        path = manifest_path.parent / entry["file"]
+    for i, entry in enumerate(data.get("images", [])):
+        where = f"{manifest_path}: image {i}"
+        image_id = _image_id(entry, "id", where)
+        path = manifest_path.parent / str(_field(entry, "file", where))
         try:
             image = read_png(path) if path.suffix == ".png" else read_ppm(path)
         except OSError as exc:
             raise ImageFormatError(f"cannot read image {path}: {exc}") from exc
-        truths = by_image.get(entry["id"], [])
+        truths = by_image.get(image_id, [])
         mean_area = (
             float(sum(t.box.area for t in truths) / len(truths)) if truths else 0.0
         )
@@ -113,7 +152,7 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
             Scene(
                 image=image,
                 truths=truths,
-                seed=int(entry["id"]),
+                seed=image_id,
                 nominal_level_b=estimate_brightness_level(rgb_to_hsv(image).v),
                 nominal_mean_area=mean_area,
             )

@@ -19,13 +19,6 @@ from ..metrics import ApReport, evaluate_ap
 from .config import EvalMode, RunConfig, build_detector
 from .pipeline import AgentBundle, run_episode
 
-_DEGRADE_ORDER = (
-    DegradeKind.OVER_EXPOSE,
-    DegradeKind.UNDER_EXPOSE,
-    DegradeKind.ZOOM_OUT,
-    DegradeKind.ZOOM_IN,
-)
-
 
 @dataclass(frozen=True)
 class EvalImage:
@@ -47,6 +40,19 @@ class ModeResult:
         return d
 
 
+def degradation_variants(scene: Scene) -> list[EvalImage]:
+    """The clean scene, then one degradation per DegradeKind in declaration order.
+
+    Magnitudes come from the scene's own [seed, 0xDE6] stream, so a scene's
+    variants do not depend on the other scenes in its set.
+    """
+    rng = np.random.default_rng([scene.seed, 0xDE6])
+    return [EvalImage(scene=scene, origin="clean")] + [
+        EvalImage(scene=degrade(scene, sample_op(kind, rng)), origin=kind.value)
+        for kind in DegradeKind
+    ]
+
+
 def build_eval_set(cfg: RunConfig, scenes: Sequence[Scene] | None = None) -> list[EvalImage]:
     """Clean scenes plus their four degradations (five images per scene)."""
     if scenes is None:
@@ -54,14 +60,7 @@ def build_eval_set(cfg: RunConfig, scenes: Sequence[Scene] | None = None) -> lis
             generate_scene(cfg.seed + 1_000_000 + i, cfg.scene)
             for i in range(cfg.n_eval_scenes)
         ]
-    images: list[EvalImage] = []
-    for scene in scenes:
-        images.append(EvalImage(scene=scene, origin="clean"))
-        rng = np.random.default_rng([scene.seed, 0xDE6])
-        for kind in _DEGRADE_ORDER:
-            op = sample_op(kind, rng)
-            images.append(EvalImage(scene=degrade(scene, op), origin=kind.value))
-    return images
+    return [im for scene in scenes for im in degradation_variants(scene)]
 
 
 def evaluate_mode(
@@ -69,7 +68,6 @@ def evaluate_mode(
     images: Sequence[EvalImage],
     bundle: AgentBundle | None,
     detector,
-    literal_scale_rule: bool = False,
 ) -> ModeResult:
     if (mode.uses_brightness or mode.uses_scale) and bundle is None:
         raise ConfigError(f"mode {mode.value} needs trained weights")
@@ -86,7 +84,6 @@ def evaluate_mode(
             horizon=mode.horizon,
             use_brightness=mode.uses_brightness,
             use_scale=mode.uses_scale,
-            literal_scale_rule=literal_scale_rule,
         )
         dets_per_image.append(result.final_detections)
         truths_per_image.append(im.scene.truths)
@@ -108,7 +105,4 @@ def evaluate_modes(
 ) -> dict[EvalMode, ModeResult]:
     detector = build_detector(cfg)
     images = build_eval_set(cfg, scenes)
-    return {
-        mode: evaluate_mode(mode, images, bundle, detector, cfg.literal_scale_rule)
-        for mode in modes
-    }
+    return {mode: evaluate_mode(mode, images, bundle, detector) for mode in modes}

@@ -12,6 +12,7 @@ from ..agent import MlpParams, forward, load_params, save_params
 from ..environment import (
     EpisodeState,
     Scene,
+    clip_scaled_box,
     reset_episode,
     step_episode,
 )
@@ -27,7 +28,7 @@ from ..features import (
     reduce_context,
 )
 from ..imaging import BRIGHTNESS_ACTIONS, SCALE_ACTIONS, AttributeAction, RgbImage
-from ..metrics import Box2D, Detection
+from ..metrics import Detection
 
 BRIGHTNESS_FILE = "brightness.rlw"
 SCALE_FILE = "scale.rlw"
@@ -129,22 +130,12 @@ def map_detections_back(
 ) -> list[Detection]:
     """Undo the episode's cumulative resize so boxes live in the input frame."""
     inv = 1.0 / factor
-    out = []
-    for d in detections:
-        b = d.box
-        out.append(
-            Detection(
-                box=Box2D(
-                    x_min=min(max(b.x_min * inv, 0.0), width - 1e-6),
-                    y_min=min(max(b.y_min * inv, 0.0), height - 1e-6),
-                    x_max=max(min(b.x_max * inv, float(width)), 1e-6),
-                    y_max=max(min(b.y_max * inv, float(height)), 1e-6),
-                ),
-                score=d.score,
-                category=d.category,
-            )
+    return [
+        Detection(
+            box=clip_scaled_box(d.box, inv, width, height), score=d.score, category=d.category
         )
-    return out
+        for d in detections
+    ]
 
 
 def run_episode(
@@ -154,10 +145,9 @@ def run_episode(
     horizon: int,
     use_brightness: bool = True,
     use_scale: bool = True,
-    literal_scale_rule: bool = False,
 ) -> EpisodeResult:
     """Run one greedy episode; with both agents off this is a plain detector pass."""
-    ep = reset_episode(scene, detector, max(horizon, 1), literal_scale_rule)
+    ep = reset_episode(scene, detector, max(horizon, 1))
     initial_p = ep.last_p
     trajectory: list[StepRecord] = []
     if (use_brightness or use_scale) and bundle is None:
@@ -201,14 +191,7 @@ def run_episode(
 
 
 def run_rl_aod(
-    scenes: Sequence[Scene],
-    bundle: AgentBundle,
-    detector,
-    horizon: int,
-    literal_scale_rule: bool = False,
+    scenes: Sequence[Scene], bundle: AgentBundle, detector, horizon: int
 ) -> list[EpisodeResult]:
     """Adjust every image with both agents acting greedily for `horizon` steps."""
-    return [
-        run_episode(scene, bundle, detector, horizon, literal_scale_rule=literal_scale_rule)
-        for scene in scenes
-    ]
+    return [run_episode(scene, bundle, detector, horizon) for scene in scenes]

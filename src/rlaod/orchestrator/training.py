@@ -82,9 +82,7 @@ class _EpisodeStream:
             kinds = _DEGRADE_KINDS[self.kind]
             op = sample_op(kinds[int(self.rng.integers(0, len(kinds)))], self.rng)
             scene = degrade(scene, op)
-        return reset_episode(
-            scene, self.detector, self.cfg.horizon, self.cfg.literal_scale_rule
-        )
+        return reset_episode(scene, self.detector, self.cfg.horizon)
 
 
 def train_agent(

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlaod.agent import init_params
 from rlaod.features import STATE_DIM
-from rlaod.orchestrator import AgentBundle
+from rlaod.orchestrator import AgentBundle, build_eval_set, load_config, load_dataset
 from rlaod.orchestrator.cli import main
 
 
@@ -61,6 +63,24 @@ class TestDegradeCommand:
         assert run_cli("--config", tiny_config_file, "degrade", "--data", str(data), "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["images"]) == 10
+
+    def test_variants_match_eval_set(self, tmp_path, tiny_config_file):
+        data = tmp_path / "data"
+        out = tmp_path / "degraded"
+        run_cli("--config", tiny_config_file, "gen-data", "--out", str(data), "--n", "3")
+        assert run_cli("--config", tiny_config_file, "degrade", "--data", str(data), "--out", str(out)) == 0
+        cfg = load_config(tiny_config_file)
+        expected = build_eval_set(cfg, load_dataset(data))
+        written = load_dataset(out)
+        assert len(written) == len(expected) == 15
+        for i, (got, want) in enumerate(zip(written, expected)):
+            assert got.seed == i
+            assert np.array_equal(got.image.pixels, want.scene.image.pixels)
+            assert [t.category for t in got.truths] == [t.category for t in want.scene.truths]
+            # The manifest stores [x, y, w, h], so x_max and y_max round-trip to an ulp.
+            assert [dataclasses.astuple(t.box) for t in got.truths] == [
+                pytest.approx(dataclasses.astuple(t.box), rel=1e-12) for t in want.scene.truths
+            ]
 
 
 class TestTrainRunEvaluate:
@@ -222,6 +242,35 @@ class TestExitCodes:
         )
         err = capsys.readouterr().err
         assert err.startswith("image file error: ") and "truncated raster" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["images"][0].pop("file"), "has no 'file'"),
+            (lambda m: m["annotations"][0].update(bbox=[1.0, 2.0, 3.0]), "not 4 finite numbers"),
+        ],
+    )
+    def test_bad_manifest_content_is_2(self, tmp_path, tiny_config_file, capsys, edit, message):
+        data = tmp_path / "data"
+        cfg = json.loads(Path(tiny_config_file).read_text())
+        cfg["scene"].update(count_range=[1, 2], empty_scene_prob=0.0)
+        config = tmp_path / "objects.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("--config", str(config), "gen-data", "--out", str(data), "--n", "2") == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert (
+            run_cli(
+                "--config", str(config),
+                "evaluate", "--modes", "FR", "--data", str(data), "--out", str(tmp_path / "r"),
+            )
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
 
     def test_diverged_training_is_6(self, tmp_path, capsys):

@@ -234,14 +234,3 @@ class TestTowardNominalPolicy:
             for before, after in zip(history, history[1:]):
                 assert after >= before - 0.02, history
 
-
-class TestLiteralScaleRule:
-    def test_literal_factor_compounds_by_level(self, detector):
-        scene = generate_scene(21, PARAMS)
-        ep = reset_episode(scene, detector, 3, literal_scale_rule=True)
-        theta = ep.scale.theta
-        expected = 1.0
-        for _ in range(3):
-            ep, _, _, _ = step_episode(ep, None, AttributeAction.ZOOM_IN)
-            expected *= theta**ep.scale.level
-            assert ep.cumulative_scale_factor == pytest.approx(expected, rel=1e-9)

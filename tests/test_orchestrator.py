@@ -230,6 +230,45 @@ class TestDataset:
         with pytest.raises(ImageFormatError, match="cannot read image"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("images", "file", None, "has no 'file'"),
+            ("images", "id", None, "has no 'id'"),
+            ("images", "id", "abc", "bad id"),
+            ("annotations", "image_id", None, "has no 'image_id'"),
+            ("annotations", "bbox", None, "has no 'bbox'"),
+            ("annotations", "bbox", [1.0, 2.0, 3.0], "not 4 finite numbers"),
+            ("annotations", "bbox", [1.0, 2.0, "3", 4.0], "not 4 finite numbers"),
+            ("annotations", "bbox", [1.0, 2.0, float("nan"), 4.0], "not 4 finite numbers"),
+            ("annotations", "bbox", [1.0, 2.0, 0.0, 4.0], "degenerate box"),
+            ("annotations", "bbox", [1.0, 2.0, 3.0, -4.0], "degenerate box"),
+            ("annotations", "category", "cat", "annotation 0"),
+        ],
+    )
+    def test_bad_manifest_content_is_config_error(self, tmp_path, section, key, value, match):
+        cfg = tiny_config()
+        params = dataclasses.replace(cfg.scene, count_range=(1, 2), empty_scene_prob=0.0)
+        manifest = generate_dataset(tmp_path / "d", seed=8, count=2, params=params)
+        data = json.loads(manifest.read_text())
+        if value is None:
+            del data[section][0][key]
+        else:
+            data[section][0][key] = value
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=match):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [("[]", "JSON object"), ('{"images": 5}', "'images' must be a list")],
+    )
+    def test_bad_manifest_shape_is_config_error(self, tmp_path, content, match):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content)
+        with pytest.raises(ConfigError, match=match):
+            load_dataset(manifest)
+
 
 class TestEvaluation:
     def test_eval_set_is_five_per_scene(self):
