@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +69,26 @@ def area_quality(area: float, calib: DetectorCalibration) -> float:
     return 1.0
 
 
+@lru_cache(maxsize=4)
+def _context_projection(seed: int) -> np.ndarray:
+    """Read-only 512 x 256 random sign projection of the context thumbnail."""
+    rng = np.random.default_rng(seed)
+    n = CONTEXT_THUMB * CONTEXT_THUMB
+    signs = rng.integers(0, 2, size=(512, n)) * 2 - 1
+    projection = signs / math.sqrt(n)
+    projection.setflags(write=False)
+    return projection
+
+
 class OracleDetector:
     """Deterministic stand-in for a fixed, pre-trained detector."""
 
     def __init__(self, calib: DetectorCalibration | None = None):
         self.calib = calib or DetectorCalibration()
-        rng = np.random.default_rng(self.calib.projection_seed)
-        n = CONTEXT_THUMB * CONTEXT_THUMB
-        signs = rng.integers(0, 2, size=(512, n)) * 2 - 1
-        self._projection = signs / math.sqrt(n)
+        self._projection = _context_projection(self.calib.projection_seed)
+
+    def close(self) -> None:
+        """Nothing to release; callers close every detector they build."""
 
     def context_of(self, image: RgbImage, v: np.ndarray | None = None) -> np.ndarray:
         if v is None:

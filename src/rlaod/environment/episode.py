@@ -22,6 +22,7 @@ from ..imaging import (
     estimate_brightness_level,
     estimate_scale_level,
     fit_brightness_base,
+    gray_image,
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
@@ -137,8 +138,9 @@ def step_episode(
     weights = state.hue_weights
 
     if state.grayscale:
-        # Grayscale frames resample one channel and replicate: bilinear
-        # weights are per-channel, so this is bit-identical to the RGB path.
+        # Grayscale frames resample one plane and view it as three channels:
+        # bilinear weights are per-channel, so this is bit-identical to the
+        # RGB path.
         if cache_hit:
             v_q = state.rendered_frame
         else:
@@ -151,7 +153,7 @@ def step_episode(
             v_out = np.minimum(
                 np.floor(resample_bilinear(v_q, out_h, out_w) + 0.5), 255.0
             ).astype(np.uint8)
-        image = RgbImage(pixels=np.repeat(v_out[..., None], 3, axis=2))
+        image = gray_image(v_out)
         current_v = v_out.astype(np.float64)
     else:
         if cache_hit:

@@ -122,14 +122,16 @@ class ExternalDetector:
             raise ValueError(f"unsupported image format {image_format!r}")
         self.timeout = timeout
         self.image_format = image_format
-        self._owns_workdir = workdir is None
-        self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="rlaod_"))
-        self._workdir.mkdir(parents=True, exist_ok=True)
         self._next_id = 0
+        # Connect before making the work directory: a failed connection
+        # leaves no object to close.
         if command is not None:
             self._transport = _StdioTransport(command)
         else:
             self._transport = _TcpTransport(address[0], address[1], timeout)
+        self._owns_workdir = workdir is None
+        self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="rlaod_"))
+        self._workdir.mkdir(parents=True, exist_ok=True)
 
     def detect(
         self, image: RgbImage, truths=None, seed: int = 0, precomputed_v=None
@@ -140,20 +142,20 @@ class ExternalDetector:
         req_id = self._next_id
         self._next_id += 1
         path = self._workdir / f"frame_{req_id}.{self.image_format}"
-        if self.image_format == "ppm":
-            write_ppm(image, path)
-        else:
-            write_png(image, path)
-
-        request = json.dumps({"id": req_id, "image": str(path)})
-        self._transport.send_line(request.encode("utf-8"))
-        line = self._transport.recv_line(self.timeout)
+        try:
+            if self.image_format == "ppm":
+                write_ppm(image, path)
+            else:
+                write_png(image, path)
+            request = json.dumps({"id": req_id, "image": str(path)})
+            self._transport.send_line(request.encode("utf-8"))
+            line = self._transport.recv_line(self.timeout)
+        finally:
+            path.unlink(missing_ok=True)
         try:
             payload = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"malformed detector response: {exc}") from exc
-        finally:
-            path.unlink(missing_ok=True)
         return self._parse(payload, req_id)
 
     def _parse(self, payload, req_id: int) -> DetectorOutput:

@@ -16,8 +16,10 @@ from ..imaging import (
     RgbImage,
     estimate_brightness_level,
     fit_brightness_base,
+    gray_image,
     render_brightness,
     resample_bilinear,
+    value_channel,
 )
 from ..metrics import Box2D, GroundTruthBox
 
@@ -152,12 +154,11 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     if params.tint_strength > 0.0:
         shift = rng.uniform(-params.tint_strength, params.tint_strength, size=3)
         rgb = np.clip(v[..., None] * (1.0 + shift.reshape(1, 1, 3)), 0.0, 255.0)
+        image = RgbImage(pixels=np.floor(rgb + 0.5).astype(np.uint8))
     else:
-        rgb = np.repeat(v[..., None], 3, axis=2)
-    pixels = np.floor(rgb + 0.5).astype(np.uint8)
-    image = RgbImage(pixels=pixels)
+        image = gray_image(np.floor(v + 0.5).astype(np.uint8))
 
-    v_final = pixels.max(axis=2).astype(np.float64)
+    v_final = value_channel(image)
     mean_area = float(np.mean([t.box.area for t in truths])) if truths else 0.0
     return Scene(
         image=image,

@@ -13,6 +13,8 @@ from .brightness import (
 from .color import (
     HsvImage,
     RgbImage,
+    gray_image,
+    gray_plane,
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,

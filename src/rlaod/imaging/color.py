@@ -13,7 +13,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RgbImage:
-    """8-bit RGB image; pixels shape (height, width, 3), dtype uint8."""
+    """8-bit RGB image; pixels shape (height, width, 3), dtype uint8.
+
+    A gray image made by gray_image holds a read-only view of one plane.
+    """
 
     pixels: np.ndarray
 
@@ -54,21 +57,71 @@ class HsvImage:
         return self.v.shape[0]
 
 
+def gray_image(plane: np.ndarray) -> RgbImage:
+    """A gray image stored once: the (h, w) uint8 plane viewed as three channels.
+
+    The pixels are a read-only view whose channel stride is 0, so every
+    consumer that knows the layout can work on the one plane.
+    """
+    return RgbImage(pixels=np.broadcast_to(plane[..., None], plane.shape + (3,)))
+
+
+def gray_plane(img: RgbImage) -> np.ndarray | None:
+    """The (h, w) plane of a gray view (as made by gray_image), else None.
+
+    Images built from full (h, w, 3) arrays return None even when their
+    channels are equal; they take the three-channel paths.
+    """
+    p = img.pixels
+    return p[..., 0] if p.strides[2] == 0 else None
+
+
+def gray_if_equal(pixels: np.ndarray) -> RgbImage:
+    """An image owning a copy of (h, w, 3) uint8 pixels; stored as one plane
+    when all three channels are equal."""
+    r = pixels[..., 0]
+    if np.array_equal(r, pixels[..., 1]) and np.array_equal(r, pixels[..., 2]):
+        return gray_image(r.copy())
+    return RgbImage(pixels=pixels.copy())
+
+
+def copy_pixels(img: RgbImage, out: np.ndarray) -> None:
+    """Copy the pixels into ``out``, a writable (h, w, 3) uint8 array or view.
+
+    Writers copy straight into their output buffer. A gray view is copied
+    one channel at a time, which is several times faster than numpy's
+    strided copy of the whole view.
+    """
+    plane = gray_plane(img)
+    if plane is None:
+        out[...] = img.pixels
+        return
+    for c in range(3):
+        out[..., c] = plane
+
+
 def value_channel(img: RgbImage) -> np.ndarray:
     """The V channel alone (max of R, G, B per pixel) as float64."""
+    plane = gray_plane(img)
+    if plane is not None:
+        return plane.astype(np.float64)
     p = img.pixels
     return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]).astype(np.float64)
 
 
 def rgb_to_hsv(img: RgbImage) -> HsvImage:
-    """Standard RGB -> HSV conversion; V is max(R, G, B) kept on the 0..255 scale."""
-    p = img.pixels
-    if np.array_equal(p[..., 0], p[..., 1]) and np.array_equal(p[..., 1], p[..., 2]):
-        v = p[..., 0].astype(np.float64)
+    """Standard RGB -> HSV conversion; V is max(R, G, B) kept on the 0..255 scale.
+
+    A gray view converts from its one plane. Equal channels of a full array
+    take the general formula, which gives the same zero H and S.
+    """
+    plane = gray_plane(img)
+    if plane is not None:
+        v = plane.astype(np.float64)
         zero = np.zeros_like(v)
         return HsvImage(h=zero, s=zero.copy(), v=v)
 
-    rgb = p.astype(np.float64)
+    rgb = img.pixels.astype(np.float64)
     r = np.ascontiguousarray(rgb[..., 0])
     g = np.ascontiguousarray(rgb[..., 1])
     b = np.ascontiguousarray(rgb[..., 2])
@@ -121,8 +174,7 @@ def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
     v = np.minimum(np.maximum(img.v, 0.0), 255.0)
     if img.s.max() <= 0.0:
         # Grayscale shortcut; values are nonnegative so half-away == half-up.
-        q = np.floor(v + 0.5).astype(np.uint8)
-        return RgbImage(pixels=np.repeat(q[..., None], 3, axis=2))
+        return gray_image(np.floor(v + 0.5).astype(np.uint8))
 
     if weights is None:
         weights = hue_weights(img.h)

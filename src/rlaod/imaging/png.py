@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ImageFormatError
-from .color import RgbImage
+from .color import RgbImage, copy_pixels, gray_if_equal
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -30,8 +30,9 @@ def _chunk(kind: bytes, payload: bytes) -> bytes:
 
 def write_png(img: RgbImage, path: str | Path) -> None:
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
-    rows = img.pixels.astype(np.uint8)
-    raw = b"".join(b"\x00" + rows[y].tobytes() for y in range(img.height))
+    # Each row is filter type 0, then the row's pixels.
+    raw = np.zeros((img.height, 1 + 3 * img.width), dtype=np.uint8)
+    copy_pixels(img, raw[:, 1:].reshape(img.pixels.shape))
     out = (
         _SIGNATURE
         + _chunk(b"IHDR", ihdr)
@@ -116,4 +117,4 @@ def _decode_png(data: bytes, path: str | Path) -> RgbImage:
         row = np.frombuffer(line[1:], dtype=np.uint8)
         prev = _unfilter(line[0], row, prev, bpp=3)
         pixels[y] = prev
-    return RgbImage(pixels=pixels.reshape(height, width, 3).astype(np.uint8))
+    return gray_if_equal(pixels.reshape(height, width, 3).astype(np.uint8))

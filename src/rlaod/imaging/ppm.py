@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ImageFormatError
-from .color import RgbImage
+from .color import RgbImage, copy_pixels, gray_if_equal
 
 
 def write_ppm(img: RgbImage, path: str | Path) -> None:
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    header = np.frombuffer(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"), np.uint8)
+    data = np.empty(header.size + img.pixels.size, dtype=np.uint8)
+    data[: header.size] = header
+    copy_pixels(img, data[header.size :].reshape(img.pixels.shape))
+    Path(path).write_bytes(data)
 
 
 def read_ppm(path: str | Path) -> RgbImage:
@@ -42,5 +45,4 @@ def read_ppm(path: str | Path) -> RgbImage:
     raster = data[pos : pos + expected]
     if len(raster) != expected:
         raise ImageFormatError(f"{path}: truncated raster ({len(raster)} of {expected} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(pixels=pixels.copy())
+    return gray_if_equal(np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3))

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..util import round_half_away
-from .color import RgbImage
+from .color import RgbImage, gray_image, gray_plane
 
 MIN_SIDE = 8
 MAX_SIDE = 4096
@@ -79,10 +79,18 @@ def scaled_dims(width: int, height: int, factor: float) -> tuple[int, int]:
 
 
 def resize_bilinear(img: RgbImage, factor: float) -> RgbImage:
-    """Resize an RGB image by a linear factor; deterministic, corner-aligned."""
+    """Resize an RGB image by a linear factor; deterministic, corner-aligned.
+
+    A gray view resamples its one plane and returns a gray view: bilinear
+    weights are per channel, so the bits equal the three-channel result.
+    """
     out_w, out_h = scaled_dims(img.width, img.height, factor)
+    plane = gray_plane(img)
+    src = img.pixels if plane is None else plane
     if (out_w, out_h) == (img.width, img.height):
-        return RgbImage(pixels=img.pixels.copy())
-    out = resample_bilinear(img.pixels, out_h, out_w)
-    # Interpolated values are nonnegative, so half-up equals half-away.
-    return RgbImage(pixels=np.minimum(np.floor(out + 0.5), 255.0).astype(np.uint8))
+        out = src.copy()
+    else:
+        # Interpolated values are nonnegative, so half-up equals half-away.
+        out = np.minimum(np.floor(resample_bilinear(src, out_h, out_w) + 0.5), 255.0)
+        out = out.astype(np.uint8)
+    return RgbImage(pixels=out) if plane is None else gray_image(out)

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from ..errors import (
@@ -127,9 +128,9 @@ def _cmd_run(args, cfg: RunConfig) -> int:
         from ..environment import generate_scene
 
         scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(args.n)]
-    detector = build_detector(cfg)
     horizon = args.horizon or cfg.horizon
-    results = run_rl_aod(scenes, bundle, detector, horizon)
+    with closing(build_detector(cfg)) as detector:
+        results = run_rl_aod(scenes, bundle, detector, horizon)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ report plus the mean final performance score.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,6 +104,6 @@ def evaluate_modes(
     bundle: AgentBundle | None = None,
     scenes: Sequence[Scene] | None = None,
 ) -> dict[EvalMode, ModeResult]:
-    detector = build_detector(cfg)
     images = build_eval_set(cfg, scenes)
-    return {mode: evaluate_mode(mode, images, bundle, detector) for mode in modes}
+    with closing(build_detector(cfg)) as detector:
+        return {mode: evaluate_mode(mode, images, bundle, detector) for mode in modes}

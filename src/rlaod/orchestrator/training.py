@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,58 +111,50 @@ def train_agent(
     rng_agent = np.random.default_rng([seed, 0xA6])
     rng_batch = np.random.default_rng([seed, 0xB7])
 
-    detector = build_detector(cfg)
-    stream = _EpisodeStream(kind, cfg, detector, seed)
-
-    ep = stream.next_episode()
-    state = agent_state(ep, kind)
-    ep_reward = 0.0
-    recent_rewards: deque[float] = deque(maxlen=100)
     rows: list[LogRow] = []
+    with closing(build_detector(cfg)) as detector:
+        stream = _EpisodeStream(kind, cfg, detector, seed)
+        ep = stream.next_episode()
+        state = agent_state(ep, kind)
+        ep_reward = 0.0
+        recent_rewards: deque[float] = deque(maxlen=100)
+        mean_reward: float | None = None  # of recent_rewards; changes only when an episode ends
 
-    min_fill = max(cfg.train.batch_size, cfg.train.warmup)
-    for it in range(total):
-        epsilon = cfg.train.epsilon_at(it, total)
-        q, _ = forward(online, state.values)
-        a_idx = select_action(q, epsilon, rng_agent)
-        action = actions[a_idx]
-        if kind is StateKind.BRIGHTNESS:
-            ep, r, _, terminal = step_episode(ep, action, None)
-        else:
-            ep, _, r, terminal = step_episode(ep, None, action)
-        next_state = agent_state(ep, kind)
-        buffer.push(
-            Transition(
-                state=state.values,
-                action=a_idx,
-                reward=float(r),
-                next_state=next_state.values,
-                terminal=terminal,
+        min_fill = max(cfg.train.batch_size, cfg.train.warmup)
+        for it in range(total):
+            epsilon = cfg.train.epsilon_at(it, total)
+            q, _ = forward(online, state.values)
+            a_idx = select_action(q, epsilon, rng_agent)
+            action = actions[a_idx]
+            if kind is StateKind.BRIGHTNESS:
+                ep, r, _, terminal = step_episode(ep, action, None)
+            else:
+                ep, _, r, terminal = step_episode(ep, None, action)
+            next_state = agent_state(ep, kind)
+            buffer.push(
+                Transition(
+                    state=state.values,
+                    action=a_idx,
+                    reward=float(r),
+                    next_state=next_state.values,
+                    terminal=terminal,
+                )
             )
-        )
-        ep_reward += r
-        if terminal:
-            recent_rewards.append(ep_reward)
-            ep_reward = 0.0
-            ep = stream.next_episode()
-            state = agent_state(ep, kind)
-        else:
-            state = next_state
+            ep_reward += r
+            if terminal:
+                recent_rewards.append(ep_reward)
+                mean_reward = float(np.mean(recent_rewards))
+                ep_reward = 0.0
+                ep = stream.next_episode()
+                state = agent_state(ep, kind)
+            else:
+                state = next_state
 
-        loss = train_step(buffer, online, target, opt, cfg.train, rng_batch) if len(buffer) >= min_fill else None
-        if (it + 1) % cfg.train.target_sync_every == 0:
-            sync_target(online, target)
+            loss = train_step(buffer, online, target, opt, cfg.train, rng_batch) if len(buffer) >= min_fill else None
+            if (it + 1) % cfg.train.target_sync_every == 0:
+                sync_target(online, target)
 
-        rows.append(
-            LogRow(
-                iteration=it,
-                loss=loss,
-                epsilon=epsilon,
-                mean_episode_reward=(
-                    float(np.mean(recent_rewards)) if recent_rewards else None
-                ),
-            )
-        )
+            rows.append(LogRow(iteration=it, loss=loss, epsilon=epsilon, mean_episode_reward=mean_reward))
 
     if log_path is not None:
         _write_log(rows, Path(log_path))

@@ -292,3 +292,41 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert run_cli(*args) == 6
         assert "training diverged: " in capsys.readouterr().err
+
+
+class TestDetectorLifetime:
+    """Commands close the detector they build: no work directory, frame file
+    or child process outlives the command, whether it succeeds or fails."""
+
+    STUB = f"{sys.executable} -m rlaod.environment.stub_detector"
+
+    @pytest.fixture
+    def tmpdir(self, tmp_path, monkeypatch):
+        import tempfile
+
+        path = tmp_path / "tmp"
+        path.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(path))
+        return path
+
+    def external(self, tiny_config_file, endpoint, *args):
+        return run_cli(
+            "--config", tiny_config_file, "--detector", "external", "--endpoint", endpoint, *args
+        )
+
+    def test_evaluate_leaves_nothing(self, tmp_path, tiny_config_file, tmpdir):
+        args = ("evaluate", "--modes", "FR", "--n", "2", "--out", str(tmp_path / "r"))
+        assert self.external(tiny_config_file, self.STUB, *args) == 0
+        assert list(tmpdir.iterdir()) == []
+
+    def test_failed_evaluate_leaves_nothing(self, tmp_path, tiny_config_file, tmpdir):
+        args = ("evaluate", "--modes", "FR", "--n", "1", "--out", str(tmp_path / "r"))
+        assert self.external(tiny_config_file, f"{sys.executable} -c pass", *args) == 3
+        assert list(tmpdir.iterdir()) == []
+
+    def test_train_and_run_leave_nothing(self, tmp_path, tiny_config_file, tmpdir):
+        weights = tmp_path / "w"
+        assert self.external(tiny_config_file, self.STUB, "train", "--out", str(weights)) == 0
+        args = ("run", "--weights", str(weights), "--out", str(tmp_path / "o"), "--n", "1")
+        assert self.external(tiny_config_file, self.STUB, *args) == 0
+        assert list(tmpdir.iterdir()) == []

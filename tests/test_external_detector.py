@@ -77,6 +77,13 @@ class TestStdioTransport:
             with pytest.raises(ProtocolError):
                 det.detect(image)
 
+    @pytest.mark.parametrize("args", [["-c", "pass"], ["-m", "rlaod.environment.stub_detector", "--garbage"]])
+    def test_failed_request_removes_its_frame(self, image, tmp_path, args):
+        with ExternalDetector(command=[sys.executable, *args], timeout=5, workdir=tmp_path) as det:
+            with pytest.raises(ProtocolError):
+                det.detect(image)
+            assert list(tmp_path.iterdir()) == []
+
     def test_multiple_requests_increment_ids(self, image, tmp_path):
         fixture = make_fixture(tmp_path, {"detections": []})
         with ExternalDetector(command=STUB + ["--fixture", fixture], timeout=10) as det:
@@ -114,6 +121,14 @@ class TestTcpTransport:
     def test_connect_refused(self):
         with pytest.raises(ProtocolError, match="connect"):
             ExternalDetector(address=("127.0.0.1", 1), timeout=0.5)
+
+    def test_connect_refused_leaves_no_workdir(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ProtocolError):
+            ExternalDetector(address=("127.0.0.1", 1), timeout=0.5)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_constructor_validation():

@@ -1,0 +1,166 @@
+"""Gray images stored as one uint8 plane viewed as three channels.
+
+Every consumer must give the same bits for a gray view and for a full
+(h, w, 3) array holding the same frame.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rlaod.environment import (
+    DegradeKind,
+    DegradeOp,
+    OracleDetector,
+    SceneParams,
+    degrade,
+    generate_scene,
+    reset_episode,
+    step_episode,
+)
+from rlaod.imaging import (
+    AttributeAction,
+    HsvImage,
+    RgbImage,
+    gray_image,
+    gray_plane,
+    hsv_to_rgb,
+    read_ppm,
+    resize_bilinear,
+    rgb_to_hsv,
+    value_channel,
+    write_ppm,
+)
+from rlaod.imaging.png import read_png, write_png
+
+PARAMS = SceneParams(width=96, height=96, count_range=(1, 3), area_range=(676.0, 1600.0))
+
+
+@pytest.fixture
+def plane(rng):
+    return rng.integers(0, 256, (23, 17), dtype=np.uint8)
+
+
+def materialised(img: RgbImage) -> RgbImage:
+    return RgbImage(pixels=np.array(img.pixels))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGrayImage:
+    def test_equals_repeated_plane(self, plane):
+        img = gray_image(plane)
+        assert np.array_equal(img.pixels, np.repeat(plane[..., None], 3, axis=2))
+        assert img.pixels.dtype == np.uint8
+        assert np.array_equal(gray_plane(img), plane)
+
+    def test_read_only(self, plane):
+        img = gray_image(plane)
+        assert not img.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 1
+
+    def test_full_array_is_not_a_view(self, plane):
+        assert gray_plane(materialised(gray_image(plane))) is None
+
+
+class TestViewMatchesFullArray:
+    def test_rgb_to_hsv(self, plane):
+        view = gray_image(plane)
+        a, b = rgb_to_hsv(view), rgb_to_hsv(materialised(view))
+        for name in ("h", "s", "v"):
+            assert same_bits(getattr(a, name), getattr(b, name)), name
+
+    def test_value_channel(self, plane):
+        view = gray_image(plane)
+        assert same_bits(value_channel(view), value_channel(materialised(view)))
+
+    @pytest.mark.parametrize("factor", [0.3, 1.0, 1.7, 3.2])
+    def test_resize_bilinear(self, plane, factor):
+        view = gray_image(plane)
+        a = resize_bilinear(view, factor)
+        b = resize_bilinear(materialised(view), factor)
+        assert gray_plane(a) is not None
+        assert gray_plane(b) is None
+        assert same_bits(np.array(a.pixels), b.pixels)
+
+    def test_identity_resize_copies_the_plane(self, plane):
+        view = gray_image(plane)
+        out = resize_bilinear(view, 1.0)
+        assert not np.shares_memory(gray_plane(out), plane)
+
+    @pytest.mark.parametrize("write", [write_ppm, write_png])
+    def test_written_bytes(self, plane, tmp_path, write):
+        view = gray_image(plane)
+        write(view, tmp_path / "view")
+        write(materialised(view), tmp_path / "full")
+        assert (tmp_path / "view").read_bytes() == (tmp_path / "full").read_bytes()
+
+    def test_hsv_gray_shortcut_gives_view(self, plane):
+        v = plane.astype(np.float64)
+        zero = np.zeros_like(v)
+        out = hsv_to_rgb(HsvImage(h=zero, s=zero, v=v))
+        assert gray_plane(out) is not None
+        assert np.array_equal(gray_plane(out), plane)
+
+
+class TestReaders:
+    @pytest.mark.parametrize("write, read", [(write_ppm, read_ppm), (write_png, read_png)])
+    def test_gray_file_reads_as_view(self, plane, tmp_path, write, read):
+        write(gray_image(plane), tmp_path / "g")
+        back = read(tmp_path / "g")
+        assert gray_plane(back) is not None
+        assert np.array_equal(gray_plane(back), plane)
+
+    @pytest.mark.parametrize("write, read", [(write_ppm, read_ppm), (write_png, read_png)])
+    def test_tinted_file_reads_as_full_array(self, plane, tmp_path, write, read):
+        px = np.repeat(plane[..., None], 3, axis=2)
+        px[5, 3, 1] ^= 1  # one channel of one pixel differs
+        write(RgbImage(pixels=px), tmp_path / "t")
+        back = read(tmp_path / "t")
+        assert gray_plane(back) is None
+        assert np.array_equal(back.pixels, px)
+        assert back.pixels.flags.writeable
+
+
+class TestProducers:
+    def test_gray_scene_and_its_degradations_are_views(self):
+        scene = generate_scene(3, PARAMS)
+        assert gray_plane(scene.image) is not None
+        for op in (
+            DegradeOp(DegradeKind.OVER_EXPOSE, 0.5),
+            DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5),
+            DegradeOp(DegradeKind.ZOOM_IN, 2.5),
+            DegradeOp(DegradeKind.ZOOM_OUT, 0.25),
+        ):
+            assert gray_plane(degrade(scene, op).image) is not None, op.kind
+
+    def test_tinted_scene_is_full_array(self):
+        scene = generate_scene(3, replace(PARAMS, tint_strength=0.25))
+        assert gray_plane(scene.image) is None
+
+
+class TestEpisodeOnFullArray:
+    def test_bs_steps_match_view(self):
+        detector = OracleDetector()
+        scene = degrade(generate_scene(31, PARAMS), DegradeOp(DegradeKind.ZOOM_OUT, 0.3))
+        full = replace(scene, image=materialised(scene.image))
+        a = reset_episode(scene, detector, 4)
+        b = reset_episode(full, detector, 4)
+        assert a.grayscale and b.grayscale
+        assert a.last_p == b.last_p
+        steps = [
+            (AttributeAction.BRIGHTEN, AttributeAction.ZOOM_IN),
+            (AttributeAction.DARKEN, AttributeAction.ZOOM_IN),
+            (AttributeAction.BRIGHTEN, AttributeAction.ZOOM_OUT),
+            (AttributeAction.BRIGHTEN, AttributeAction.ZOOM_IN),
+        ]
+        for a_b, a_s in steps:
+            a, _, _, _ = step_episode(a, a_b, a_s)
+            b, _, _, _ = step_episode(b, a_b, a_s)
+            assert np.array_equal(a.current_image.pixels, b.current_image.pixels)
+            assert same_bits(a.current_v, b.current_v)
+            assert a.last_p == b.last_p
