@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import select
+import shutil
 import socket
 import subprocess
 import tempfile
@@ -33,76 +34,60 @@ from .detector import DetectorOutput
 DEFAULT_TIMEOUT = 30.0
 
 
-class _StdioTransport:
-    def __init__(self, command: Sequence[str]):
-        self.proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            bufsize=0,
-        )
+class _LineChannel:
+    """One line-framed connection: a child's stdin/stdout pipes, or a TCP
+    socket. Only the opening differs; both are read and written as fds."""
+
+    def __init__(self, command: Sequence[str] | None, address: tuple[str, int] | None,
+                 timeout: float):
+        self.proc = self.sock = None
         self._buf = b""
-
-    def send_line(self, line: bytes) -> None:
         try:
-            self.proc.stdin.write(line + b"\n")
-            self.proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolError(f"detector process closed its input: {exc}") from exc
+            if command is not None:
+                self.proc = subprocess.Popen(
+                    list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+                )
+                self._out, self._in = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+            else:
+                self.sock = socket.create_connection(address, timeout=timeout)
+                self.sock.settimeout(None)  # blocking fd; select bounds each read
+                self._out = self._in = self.sock.fileno()
+        except OSError as exc:
+            where = " ".join(command) if command is not None else "%s:%s" % address
+            raise ProtocolError(f"cannot connect to detector {where}: {exc}") from exc
 
-    def recv_line(self, timeout: float) -> bytes:
-        fd = self.proc.stdout.fileno()
-        while b"\n" not in self._buf:
-            ready, _, _ = select.select([fd], [], [], timeout)
-            if not ready:
-                raise ProtocolError(f"detector response timed out after {timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise ProtocolError("detector process closed its output")
-            self._buf += chunk
+    def exchange(self, line: bytes, timeout: float) -> bytes:
+        """Send one line and return the next line received."""
+        data = line + b"\n"
+        try:
+            while data:
+                data = data[os.write(self._out, data):]
+            while b"\n" not in self._buf:
+                ready, _, _ = select.select([self._in], [], [], timeout)
+                if not ready:
+                    raise ProtocolError(f"detector response timed out after {timeout}s")
+                chunk = os.read(self._in, 65536)
+                if not chunk:
+                    raise ProtocolError("detector closed its output")
+                self._buf += chunk
+        except OSError as exc:
+            raise ProtocolError(f"detector connection failed: {exc}") from exc
         line, self._buf = self._buf.split(b"\n", 1)
         return line
 
     def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            return
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
                 self.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
-
-
-class _TcpTransport:
-    def __init__(self, host: str, port: int, timeout: float):
-        try:
-            self.sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as exc:
-            raise ProtocolError(f"cannot connect to detector at {host}:{port}: {exc}") from exc
-        self._buf = b""
-
-    def send_line(self, line: bytes) -> None:
-        try:
-            self.sock.sendall(line + b"\n")
-        except OSError as exc:
-            raise ProtocolError(f"detector connection failed: {exc}") from exc
-
-    def recv_line(self, timeout: float) -> bytes:
-        self.sock.settimeout(timeout)
-        while b"\n" not in self._buf:
-            try:
-                chunk = self.sock.recv(65536)
-            except socket.timeout:
-                raise ProtocolError(f"detector response timed out after {timeout}s") from None
-            except OSError as exc:
-                raise ProtocolError(f"detector connection failed: {exc}") from exc
-            if not chunk:
-                raise ProtocolError("detector closed the connection")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line
-
-    def close(self) -> None:
-        self.sock.close()
+                self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
 
 
 class ExternalDetector:
@@ -125,10 +110,7 @@ class ExternalDetector:
         self._next_id = 0
         # Connect before making the work directory: a failed connection
         # leaves no object to close.
-        if command is not None:
-            self._transport = _StdioTransport(command)
-        else:
-            self._transport = _TcpTransport(address[0], address[1], timeout)
+        self._channel = _LineChannel(command, address, timeout)
         self._owns_workdir = workdir is None
         self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="rlaod_"))
         self._workdir.mkdir(parents=True, exist_ok=True)
@@ -148,8 +130,7 @@ class ExternalDetector:
             else:
                 write_png(image, path)
             request = json.dumps({"id": req_id, "image": str(path)})
-            self._transport.send_line(request.encode("utf-8"))
-            line = self._transport.recv_line(self.timeout)
+            line = self._channel.exchange(request.encode("utf-8"), self.timeout)
         finally:
             path.unlink(missing_ok=True)
         try:
@@ -192,10 +173,8 @@ class ExternalDetector:
         return DetectorOutput(detections=detections, context=reduce_context(context))
 
     def close(self) -> None:
-        self._transport.close()
+        self._channel.close()
         if self._owns_workdir:
-            import shutil
-
             shutil.rmtree(self._workdir, ignore_errors=True)
 
     def __enter__(self):

@@ -44,10 +44,6 @@ class SceneParams:
         if self.area_range[0] < 16.0 or self.area_range[1] < self.area_range[0]:
             raise ValueError(f"bad area range {self.area_range}")
 
-    @property
-    def area_midpoint(self) -> float:
-        return 0.5 * (self.area_range[0] + self.area_range[1])
-
 
 @dataclass(frozen=True)
 class Scene:

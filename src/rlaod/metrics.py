@@ -7,9 +7,7 @@ and a COCO-style average-precision report over an image set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -91,9 +89,6 @@ class ApReport:
             "ap_m": self.ap_medium,
             "ap_l": self.ap_large,
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def iou(a: Box2D, b: Box2D) -> float:

@@ -146,10 +146,13 @@ def build_detector(cfg: RunConfig):
     if cfg.detector == "oracle":
         return OracleDetector(cfg.calibration)
     endpoint = cfg.endpoint or ""
-    if ":" in endpoint and " " not in endpoint:
-        host, _, port = endpoint.rpartition(":")
-        try:
+    try:
+        if ":" in endpoint and " " not in endpoint:
+            host, _, port = endpoint.rpartition(":")
             return ExternalDetector(address=(host, int(port)), image_format=cfg.image_format)
-        except ValueError as exc:
-            raise ConfigError(f"bad TCP endpoint {endpoint!r}: {exc}") from exc
-    return ExternalDetector(command=shlex.split(endpoint), image_format=cfg.image_format)
+        command = shlex.split(endpoint)
+    except ValueError as exc:
+        raise ConfigError(f"bad endpoint {endpoint!r}: {exc}") from exc
+    if not command:
+        raise ConfigError(f"endpoint {endpoint!r} names no command")
+    return ExternalDetector(command=command, image_format=cfg.image_format)

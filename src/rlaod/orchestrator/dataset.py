@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..environment import Scene, SceneParams, generate_scene
 from ..errors import ConfigError, ImageFormatError
-from ..imaging import estimate_brightness_level, read_ppm, rgb_to_hsv, write_ppm
+from ..imaging import estimate_brightness_level, read_ppm, value_channel, write_ppm
 from ..imaging.png import read_png, write_png
 from ..metrics import Box2D, GroundTruthBox
 
@@ -153,7 +153,7 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
                 image=image,
                 truths=truths,
                 seed=image_id,
-                nominal_level_b=estimate_brightness_level(rgb_to_hsv(image).v),
+                nominal_level_b=estimate_brightness_level(value_channel(image)),
                 nominal_mean_area=mean_area,
             )
         )

@@ -195,6 +195,30 @@ class TestExitCodes:
             == 3
         )
 
+    @pytest.mark.parametrize(
+        "endpoint, code, label",
+        [
+            ('"python3 -m x', 2, "config error: "),
+            ("   ", 2, "config error: "),
+            ("nosuchcmd-xyz", 3, "detector error: "),
+            ("{tmp}/detector.sh", 3, "detector error: "),  # no execute bit
+        ],
+        ids=["unbalanced-quote", "blank", "missing-command", "not-executable"],
+    )
+    def test_endpoint_that_cannot_start(self, tmp_path, tiny_config_file, capsys, endpoint, code, label):
+        script = tmp_path / "detector.sh"
+        script.write_text("#!/bin/sh\n")
+        script.chmod(0o644)
+        endpoint = endpoint.format(tmp=tmp_path)
+        args = ("evaluate", "--modes", "FR", "--n", "1", "--out", str(tmp_path / "r"))
+        assert (
+            run_cli("--config", tiny_config_file, "--detector", "external", "--endpoint", endpoint, *args)
+            == code
+        )
+        err = capsys.readouterr().err
+        assert err.startswith(label)
+        assert "Traceback" not in err
+
     def test_evaluate_agent_mode_without_weights_is_2(self, tmp_path, tiny_config_file):
         assert (
             run_cli(

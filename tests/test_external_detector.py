@@ -131,6 +131,70 @@ class TestTcpTransport:
         assert list(tmp_path.iterdir()) == []
 
 
+def one_reply_child(reply: str) -> list[str]:
+    """A child that reads one request `req`, writes the Python expression
+    `reply` to stdout as is, and exits."""
+    code = (
+        "import json, sys\n"
+        "req = json.loads(sys.stdin.readline())\n"
+        f"sys.stdout.write({reply})\n"
+    )
+    return [sys.executable, "-c", code]
+
+
+GOOD_REPLY = "json.dumps({'id': req['id'], 'detections': [], 'context': [0.0] * 512}) + '\\n'"
+
+
+class TestBridgeFailures:
+    """Every way the detector end can fail surfaces as a ProtocolError."""
+
+    def test_missing_command(self):
+        with pytest.raises(ProtocolError, match="connect"):
+            ExternalDetector(command=["nosuchcmd-xyz"], timeout=5)
+
+    def test_command_without_execute_bit(self, tmp_path):
+        script = tmp_path / "detector.sh"
+        script.write_text("#!/bin/sh\n")
+        script.chmod(0o644)
+        with pytest.raises(ProtocolError, match="connect"):
+            ExternalDetector(command=[str(script)], timeout=5)
+
+    def test_child_answers_once_then_exits(self, image):
+        with ExternalDetector(command=one_reply_child(GOOD_REPLY), timeout=5) as det:
+            assert det.detect(image).context.shape == (512,)
+            with pytest.raises(ProtocolError):
+                det.detect(image)
+
+    def test_partial_last_line(self, image):
+        child = one_reply_child("'{\"id\": 0, \"detections\": ['")
+        with ExternalDetector(command=child, timeout=5) as det:
+            with pytest.raises(ProtocolError, match="closed"):
+                det.detect(image)
+
+    def test_wrong_response_id(self, image):
+        child = one_reply_child(GOOD_REPLY.replace("req['id']", "req['id'] + 1"))
+        with ExternalDetector(command=child, timeout=5) as det:
+            with pytest.raises(ProtocolError, match="does not match"):
+                det.detect(image)
+
+    def test_tcp_peer_closes_mid_line(self, image):
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b'{"id": 0, "detec')
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with ExternalDetector(address=server.getsockname(), timeout=5) as det:
+            with pytest.raises(ProtocolError, match="closed"):
+                det.detect(image)
+        thread.join(timeout=5)
+        server.close()
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         ExternalDetector()

@@ -369,13 +369,11 @@ class TestEvaluateAp:
             a, b = getattr(base, field), getattr(shuffled, field)
             assert (a is None and b is None) or a == pytest.approx(b, abs=1e-12)
 
-    def test_report_json_round_trip(self, tmp_path):
+    def test_report_json_round_trip(self):
         rep = ApReport(0.5, 0.8, 0.4, None, 0.6, 0.7)
-        path = tmp_path / "report.json"
-        rep.save_json(path)
         import json
 
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data == {
             "ap": 0.5,
             "ap50": 0.8,

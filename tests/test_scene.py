@@ -49,7 +49,7 @@ class TestGenerateScene:
         areas = [
             t.box.area for s in range(150) for t in generate_scene(s, SMALL).truths
         ]
-        mid = SMALL.area_midpoint
+        mid = 0.5 * sum(SMALL.area_range)
         assert abs(np.mean(areas) - mid) / mid < 0.25
 
     def test_default_params_500_scene_mean_area(self):
@@ -59,7 +59,7 @@ class TestGenerateScene:
         areas = [
             t.box.area for s in range(500) for t in generate_scene(s, params).truths
         ]
-        mid = params.area_midpoint
+        mid = 0.5 * sum(params.area_range)
         assert abs(np.mean(areas) - mid) / mid <= 0.20
 
     def test_tinted_scene_has_color(self):
