@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,6 +96,21 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} {v} outside [0, 1]")
+        for name, least in (
+            ("batch_size", 1),
+            ("target_sync_every", 1),
+            ("buffer_capacity", 1),
+            ("hidden_width", 1),
+            ("hidden_layers", 1),
+            ("iterations_brightness", 0),
+            ("iterations_scale", 0),
+            ("warmup", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
     def layer_sizes(self, input_dim: int, n_actions: int = 2) -> tuple[int, ...]:
         return (input_dim, *([self.hidden_width] * self.hidden_layers), n_actions)

@@ -27,11 +27,12 @@ from ..imaging import (
     hue_weights,
     merge_v_channel,
     render_brightness,
-    resample_bilinear,
+    # Not called here: perfbench's tracer wraps this name as a frame-resample
+    # site; the frames themselves resample inside resize_bilinear.
+    resample_bilinear,  # noqa: F401
     resize_bilinear,
     rgb_to_hsv,
     scale_factor_for_step,
-    scaled_dims,
     update_brightness_level,
     update_scale_level,
     value_channel,
@@ -59,7 +60,7 @@ class EpisodeState:
     last_p: float
     grayscale: bool = False
     # Cache of the last brightness render (scale-only steps reuse it).
-    rendered_frame: object | None = None  # RgbImage, or quantized V when grayscale
+    rendered_frame: RgbImage | None = None
     rendered_level_b: float | None = None
     # hue_weights(hsv0.h), computed on the first RGB render of the episode.
     hue_weights: np.ndarray | None = None
@@ -133,41 +134,21 @@ def step_episode(
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
-    out_w, out_h = scaled_dims(scene.image.width, scene.image.height, cumulative)
-    cache_hit = state.rendered_level_b == level_b and state.rendered_frame is not None
     weights = state.hue_weights
-
-    if state.grayscale:
-        # Grayscale frames resample one plane and view it as three channels:
-        # bilinear weights are per-channel, so this is bit-identical to the
-        # RGB path.
-        if cache_hit:
-            v_q = state.rendered_frame
-        else:
-            v = render_brightness(state.brightness, level_b)
-            v_q = np.floor(v + 0.5).astype(np.uint8)
-        rendered = v_q
-        if (out_w, out_h) == (scene.image.width, scene.image.height):
-            v_out = v_q
-        else:
-            v_out = np.minimum(
-                np.floor(resample_bilinear(v_q, out_h, out_w) + 0.5), 255.0
-            ).astype(np.uint8)
-        image = gray_image(v_out)
-        current_v = v_out.astype(np.float64)
+    if state.rendered_level_b == level_b:
+        frame = state.rendered_frame
     else:
-        if cache_hit:
-            rgb = state.rendered_frame
+        v = render_brightness(state.brightness, level_b)
+        if state.grayscale:
+            # hsv_to_rgb's gray rounding; render_brightness already clamps.
+            frame = gray_image(np.floor(v + 0.5).astype(np.uint8))
         else:
             if weights is None:
                 weights = hue_weights(state.hsv0.h)
-            v = render_brightness(state.brightness, level_b)
-            rgb = hsv_to_rgb(merge_v_channel(state.hsv0, v), weights)
-        rendered = rgb
-        image = resize_bilinear(rgb, cumulative)
-        current_v = value_channel(image)
-
-    truths = resized_truths(scene, cumulative, out_w, out_h)
+            frame = hsv_to_rgb(merge_v_channel(state.hsv0, v), weights)
+    image = resize_bilinear(frame, cumulative)
+    current_v = value_channel(image)
+    truths = resized_truths(scene, cumulative, image.width, image.height)
 
     output = state.detector.detect(image, truths, scene.seed, precomputed_v=current_v)
     p_next = performance_score(output.detections, truths)
@@ -184,7 +165,7 @@ def step_episode(
         current_truths=truths,
         last_output=output,
         last_p=p_next,
-        rendered_frame=rendered,
+        rendered_frame=frame,
         rendered_level_b=level_b,
         hue_weights=weights,
     )

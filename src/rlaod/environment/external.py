@@ -13,6 +13,7 @@ connection; either way one request is outstanding at a time.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import shutil
@@ -139,7 +140,8 @@ class ExternalDetector:
             raise ProtocolError(f"malformed detector response: {exc}") from exc
         return self._parse(payload, req_id)
 
-    def _parse(self, payload, req_id: int) -> DetectorOutput:
+    @staticmethod
+    def _parse(payload, req_id: int) -> DetectorOutput:
         if not isinstance(payload, dict):
             raise ProtocolError("detector response is not a JSON object")
         if payload.get("id") != req_id:
@@ -154,18 +156,23 @@ class ExternalDetector:
         detections = []
         try:
             for entry in payload["detections"]:
-                x0, y0, x1, y1 = entry["bbox"]
+                x0, y0, x1, y1 = (float(c) for c in entry["bbox"])
+                if not all(map(math.isfinite, (x0, y0, x1, y1))):
+                    raise ValueError(f"non-finite bbox {entry['bbox']}")
                 detections.append(
                     Detection(
-                        box=Box2D(float(x0), float(y0), float(x1), float(y1)),
+                        box=Box2D(x0, y0, x1, y1),
                         score=float(entry["score"]),
                         category=int(entry.get("category", 0)),
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed detection entry: {exc}") from exc
 
-        context = np.asarray(payload["context"], dtype=np.float64)
+        try:
+            context = np.asarray(payload["context"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"malformed context: {exc}") from exc
         if context.shape not in ((512,), (1024,)):
             raise ProtocolError(f"context length must be 512 or 1024, got {context.shape}")
         if not np.all(np.isfinite(context)):

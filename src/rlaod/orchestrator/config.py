@@ -102,6 +102,8 @@ class RunConfig:
 
 def _build_section(default, data: dict, name: str):
     """Overlay a config section's dict onto its default instance."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} section must be a JSON object, got {data!r}")
     if not data:
         return default
     known = {f.name for f in fields(default)}

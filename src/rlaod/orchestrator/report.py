@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from ..errors import ConfigError
 from .config import MODE_ORDER, EvalMode
 from .evaluation import ModeResult
 
@@ -55,5 +56,24 @@ def emit_payload(payload: dict, out_dir: str | Path) -> dict[str, Path]:
     return _emit(dict(payload.get("modes", {})), out_dir)
 
 
+def _is_report(payload) -> bool:
+    """A JSON object whose "modes" (if any) map names to rows whose metrics
+    are numbers or null."""
+    modes = payload.get("modes", {}) if isinstance(payload, dict) else None
+    return isinstance(modes, dict) and all(
+        isinstance(row, dict)
+        and all(isinstance(row.get(m), (int, float, type(None))) for m in METRICS)
+        for row in modes.values()
+    )
+
+
 def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """A saved report.json payload; ConfigError if the file is unreadable or
+    not a report."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers decode errors
+        raise ConfigError(f"cannot read results {path}: {exc}") from exc
+    if not _is_report(payload):
+        raise ConfigError(f"results {path} is not a report: 'modes' must map modes to metrics")
+    return payload

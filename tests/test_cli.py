@@ -297,6 +297,51 @@ class TestExitCodes:
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]", json.dumps({"modes": {"FR": {"ap": "x"}}})],
+        ids=["missing", "not-json", "not-object", "non-numeric-metric"],
+    )
+    def test_bad_results_file_is_2(self, tmp_path, capsys, content):
+        results = tmp_path / "report.json"
+        if content is not None:
+            results.write_text(content)
+        assert run_cli("report", "--results", str(results), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(results) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("train", 5),
+            ("scene", [1, 2]),
+            ("train", {"hidden_width": 0}),
+            ("train", {"hidden_layers": 0}),
+            ("train", {"batch_size": 0}),
+            ("train", {"target_sync_every": 0}),
+            ("train", {"buffer_capacity": 0}),
+            ("train", {"iterations_brightness": -1}),
+            ("train", {"iterations_scale": -1}),
+            ("train", {"warmup": -1}),
+            ("train", {"learning_rate": 0.0}),
+            ("train", {"iterations_brightness": 4.5}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+    )
+    def test_bad_section_or_train_value_is_2(self, tmp_path, capsys, section, value):
+        # Small enough to finish at once should a bad value be let through.
+        train = {"iterations_brightness": 4, "iterations_scale": 4, "hidden_width": 8, "warmup": 2}
+        if isinstance(value, dict) and section == "train":
+            value = {**train, "batch_size": 2, "target_sync_every": 2, **value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": train, section: value}))
+        args = ("--config", str(path), "train", "--agent", "both", "--out", str(tmp_path / "w"))
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
     def test_diverged_training_is_6(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.json"
         cfg.write_text(

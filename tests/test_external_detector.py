@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlaod.environment import ExternalDetector, SceneParams, generate_scene
 from rlaod.errors import ProtocolError
@@ -200,3 +202,70 @@ def test_constructor_validation():
         ExternalDetector()
     with pytest.raises(ValueError):
         ExternalDetector(command=["x"], address=("h", 1))
+
+
+# JSON values as json.loads returns them, NaN and the infinities included.
+_NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# Mostly well-formed detections and contexts, each with one field (or the
+# last context value) replaced by an arbitrary JSON value some of the time.
+_ENTRIES = st.fixed_dictionaries(
+    {"bbox": st.lists(_NUMBERS, min_size=4, max_size=4) | _JSON, "score": _NUMBERS | _JSON},
+    optional={"category": _NUMBERS | _JSON},
+)
+_CONTEXTS = _JSON | st.builds(
+    lambda n, fill, last: [fill] * (n - 1) + [last],
+    st.sampled_from([511, 512, 1024]),
+    st.floats(-1e6, 1e6),
+    _NUMBERS | _JSON,
+)
+_PAYLOADS = _JSON | st.fixed_dictionaries(
+    {
+        "id": st.just(1) | _JSON,
+        "detections": st.lists(_ENTRIES | _JSON, max_size=3) | _JSON,
+        "context": _CONTEXTS,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_PAYLOADS)
+def test_parse_fuzz(payload):
+    """Whatever JSON a detector sends, parsing either raises ProtocolError
+    or returns finite boxes and a finite 512-value context."""
+    try:
+        out = ExternalDetector._parse(payload, 1)
+    except ProtocolError:
+        return
+    for d in out.detections:
+        b = d.box
+        assert np.all(np.isfinite([b.x_min, b.y_min, b.x_max, b.y_max]))
+    assert out.context.shape == (512,) and np.all(np.isfinite(out.context))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("context", "abc"),
+        ("context", [1.0] * 511 + [[1.0, 2.0]]),
+        ("context", {"a": 1.0}),
+        ("context", [1.0] * 511 + ["x"]),
+        ("bbox", [0.0, 0.0, float("nan"), 5.0]),
+        ("bbox", [float("-inf"), 0.0, float("inf"), 5.0]),
+        ("category", float("inf")),
+    ],
+    ids=["string", "ragged", "dict", "non-numeric", "nan-bbox", "inf-bbox", "inf-category"],
+)
+def test_parse_rejects(field, value):
+    entry = {"bbox": [0.0, 0.0, 5.0, 5.0], "score": 0.5}
+    payload = {"id": 1, "detections": [entry], "context": [1.0] * 512}
+    if field == "context":
+        payload["context"] = value
+    else:
+        entry[field] = value
+    with pytest.raises(ProtocolError):
+        ExternalDetector._parse(payload, 1)

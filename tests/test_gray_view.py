@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import per_call_hsv_to_rgb
 from rlaod.environment import (
     DegradeKind,
     DegradeOp,
@@ -19,6 +20,7 @@ from rlaod.environment import (
     reset_episode,
     step_episode,
 )
+from rlaod.environment import episode as episode_module
 from rlaod.imaging import (
     AttributeAction,
     HsvImage,
@@ -27,6 +29,7 @@ from rlaod.imaging import (
     gray_plane,
     hsv_to_rgb,
     read_ppm,
+    render_brightness,
     resize_bilinear,
     rgb_to_hsv,
     value_channel,
@@ -164,3 +167,45 @@ class TestEpisodeOnFullArray:
             assert np.array_equal(a.current_image.pixels, b.current_image.pixels)
             assert same_bits(a.current_v, b.current_v)
             assert a.last_p == b.last_p
+
+
+class TestGrayEpisodeMatchesFullReference:
+    """Every gray frame equals a fresh three-channel render of the episode's
+    brightness, resized from the original size in one step."""
+
+    B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
+    ZI, ZO = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
+    # B-only first (identity size), then S-only steps that reuse the cached
+    # render, then BS steps.
+    STEPS = [(B, None), (D, None), (None, ZI), (None, ZO), (B, ZI), (D, ZO), (None, ZO), (B, ZI)]
+
+    @pytest.mark.parametrize(
+        "op",
+        [None, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.6), DegradeOp(DegradeKind.ZOOM_IN, 3.0)],
+        ids=["clean", "under-exposed", "zoomed-in-x3"],
+    )
+    def test_frames_match_reference(self, op, monkeypatch):
+        renders = []
+        render = episode_module.render_brightness
+
+        def counting_render(*args):
+            renders.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(episode_module, "render_brightness", counting_render)
+        scene = generate_scene(17, PARAMS)
+        if op is not None:
+            scene = degrade(scene, op)
+        ep = reset_episode(scene, OracleDetector(), len(self.STEPS))
+        assert ep.grayscale
+        identity_steps = 0
+        for a_b, a_s in self.STEPS:
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+            v = render_brightness(ep.brightness, ep.brightness.level)
+            frame = RgbImage(pixels=per_call_hsv_to_rgb(0.0, 0.0, v))
+            want = resize_bilinear(frame, ep.cumulative_scale_factor)
+            assert np.array_equal(ep.current_image.pixels, want.pixels)
+            assert same_bits(ep.current_v, value_channel(want))
+            identity_steps += ep.current_image.pixels.shape == scene.image.pixels.shape
+        assert identity_steps >= 2
+        assert len(renders) < len(self.STEPS)  # some steps hit the render cache
