@@ -21,10 +21,10 @@ class Transition:
 
 @dataclass(frozen=True)
 class Batch:
-    states: np.ndarray
+    states: np.ndarray  # float32, as stored
     actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
+    rewards: np.ndarray  # float64: they set the bits of the loss
+    next_states: np.ndarray  # float32
     terminals: np.ndarray
 
 
@@ -62,10 +62,10 @@ class ReplayBuffer:
 
     def gather(self, idx: np.ndarray) -> Batch:
         return Batch(
-            states=self._states[idx].astype(np.float64),
+            states=self._states[idx],
             actions=self._actions[idx],
             rewards=self._rewards[idx].astype(np.float64),
-            next_states=self._next_states[idx].astype(np.float64),
+            next_states=self._next_states[idx],
             terminals=self._terminals[idx],
         )
 

@@ -30,6 +30,8 @@ def save_params(params: MlpParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> MlpParams:
+    """Float64 parameters from a weight file: all headers are checked first,
+    then each layer's finite f32 data widens once into the flat buffer."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 4 or not data.startswith(MAGIC):
         raise WeightFormatError(f"{path}: bad magic")
@@ -39,28 +41,30 @@ def load_params(path: str | Path) -> MlpParams:
     if n_layers == 0:
         raise WeightFormatError(f"{path}: zero layers")
 
-    weights, biases = [], []
-    for _ in range(n_layers):
+    layers = []  # (rows, cols, offset of the weights)
+    for i in range(n_layers):
         if pos + 8 > len(data):
             raise WeightFormatError(f"{path}: truncated layer header")
         rows, cols = struct.unpack_from("<II", data, pos)
         pos += 8
         if rows == 0 or cols == 0:
             raise WeightFormatError(f"{path}: degenerate layer shape {rows}x{cols}")
-        need = 4 * (rows * cols + rows)
-        if pos + need > len(data):
+        if layers and cols != layers[-1][0]:
+            raise WeightFormatError(f"{path}: layer {i} input does not chain")
+        layers.append((rows, cols, pos))
+        pos += 4 * (rows * cols + rows)
+        if pos > len(data):
             raise WeightFormatError(f"{path}: truncated layer data")
-        w = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=pos)
-        pos += 4 * rows * cols
-        b = np.frombuffer(data, dtype="<f4", count=rows, offset=pos)
-        pos += 4 * rows
-        weights.append(w.reshape(rows, cols).T.astype(np.float64))
-        biases.append(b.astype(np.float64))
     if pos != len(data):
         raise WeightFormatError(f"{path}: {len(data) - pos} trailing bytes")
 
-    sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-    for i in range(1, n_layers):
-        if weights[i].shape[0] != sizes[i]:
-            raise WeightFormatError(f"{path}: layer {i} input does not chain")
-    return MlpParams(layer_sizes=tuple(sizes), weights=weights, biases=biases)
+    sizes = (layers[0][1], *(rows for rows, _, _ in layers))
+    params = MlpParams.from_flat(sizes, np.empty(sum(r * c + r for r, c, _ in layers)))
+    for i, ((rows, cols, offset), w, b) in enumerate(zip(layers, params.weights, params.biases)):
+        values = np.frombuffer(data, "<f4", rows * cols + rows, offset)
+        # Checked before widening: casting a signalling NaN warns.
+        if not np.isfinite(values).all():
+            raise WeightFormatError(f"{path}: layer {i} has non-finite weights")
+        w.T[...] = values[: rows * cols].reshape(rows, cols)
+        b[...] = values[rows * cols :]
+    return params

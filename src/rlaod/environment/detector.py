@@ -90,12 +90,6 @@ class OracleDetector:
     def close(self) -> None:
         """Nothing to release; callers close every detector they build."""
 
-    def context_of(self, image: RgbImage, v: np.ndarray | None = None) -> np.ndarray:
-        if v is None:
-            v = value_channel(image)
-        thumb = resample_bilinear(v, CONTEXT_THUMB, CONTEXT_THUMB) / 255.0
-        return self._projection @ thumb.ravel()
-
     def detect(
         self,
         image: RgbImage,
@@ -145,4 +139,5 @@ class OracleDetector:
                 )
             )
 
-        return DetectorOutput(detections=detections, context=self.context_of(image, v))
+        thumb = resample_bilinear(v, CONTEXT_THUMB, CONTEXT_THUMB) / 255.0
+        return DetectorOutput(detections=detections, context=self._projection @ thumb.ravel())

@@ -54,7 +54,7 @@ class EpisodeState:
     step: int
     horizon: int
     current_image: RgbImage
-    current_v: np.ndarray
+    current_v: np.ndarray  # uint8 V plane of current_image
     current_truths: list[GroundTruthBox]
     last_output: DetectorOutput
     last_p: float
@@ -80,10 +80,11 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     hsv = rgb_to_hsv(scene.image)
-    output = detector.detect(scene.image, scene.truths, scene.seed, precomputed_v=hsv.v)
+    v = value_channel(scene.image)
+    output = detector.detect(scene.image, scene.truths, scene.seed, precomputed_v=v)
 
-    level_b = estimate_brightness_level(hsv.v)
-    brightness = fit_brightness_base(hsv.v, level_b)
+    level_b = estimate_brightness_level(v)
+    brightness = fit_brightness_base(v, level_b)
     level_s = estimate_scale_level(detection_mean_area(output))
 
     return EpisodeState(
@@ -97,7 +98,7 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         step=0,
         horizon=horizon,
         current_image=scene.image,
-        current_v=hsv.v,
+        current_v=v,
         current_truths=list(scene.truths),
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),

@@ -13,7 +13,6 @@ connection; either way one request is outstanding at a time.
 from __future__ import annotations
 
 import json
-import math
 import os
 import select
 import shutil
@@ -23,13 +22,12 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import ProtocolError
 from ..features import reduce_context
 from ..imaging import RgbImage, write_ppm
 from ..imaging.png import write_png
 from ..metrics import Box2D, Detection
+from ..util import all_numbers, finite_floats
 from .detector import DetectorOutput
 
 DEFAULT_TIMEOUT = 30.0
@@ -136,7 +134,7 @@ class ExternalDetector:
             path.unlink(missing_ok=True)
         try:
             payload = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # covers decode errors and over-long integers
             raise ProtocolError(f"malformed detector response: {exc}") from exc
         return self._parse(payload, req_id)
 
@@ -156,27 +154,19 @@ class ExternalDetector:
         detections = []
         try:
             for entry in payload["detections"]:
-                x0, y0, x1, y1 = (float(c) for c in entry["bbox"])
-                if not all(map(math.isfinite, (x0, y0, x1, y1))):
-                    raise ValueError(f"non-finite bbox {entry['bbox']}")
-                detections.append(
-                    Detection(
-                        box=Box2D(x0, y0, x1, y1),
-                        score=float(entry["score"]),
-                        category=int(entry.get("category", 0)),
-                    )
-                )
+                box = finite_floats(entry["bbox"])
+                score, category = entry["score"], entry.get("category", 0)
+                if box is None or box.shape != (4,) or not all_numbers([score, category]):
+                    raise ValueError("bbox, score and category must be finite numbers")
+                detections.append(Detection(Box2D(*box.tolist()), float(score), int(category)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed detection entry: {exc}") from exc
 
-        try:
-            context = np.asarray(payload["context"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProtocolError(f"malformed context: {exc}") from exc
+        context = finite_floats(payload["context"])
+        if context is None:
+            raise ProtocolError("malformed context: not a list of finite numbers")
         if context.shape not in ((512,), (1024,)):
             raise ProtocolError(f"context length must be 512 or 1024, got {context.shape}")
-        if not np.all(np.isfinite(context)):
-            raise ProtocolError("context contains non-finite values")
         return DetectorOutput(detections=detections, context=reduce_context(context))
 
     def close(self) -> None:

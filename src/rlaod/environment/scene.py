@@ -154,13 +154,12 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     else:
         image = gray_image(np.floor(v + 0.5).astype(np.uint8))
 
-    v_final = value_channel(image)
     mean_area = float(np.mean([t.box.area for t in truths])) if truths else 0.0
     return Scene(
         image=image,
         truths=truths,
         seed=seed,
-        nominal_level_b=estimate_brightness_level(v_final),
+        nominal_level_b=estimate_brightness_level(value_channel(image)),
         nominal_mean_area=mean_area,
     )
 

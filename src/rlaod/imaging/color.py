@@ -48,14 +48,6 @@ class HsvImage:
         if not (self.h.shape == self.s.shape == self.v.shape):
             raise ValueError("h, s, v channel shapes must match")
 
-    @property
-    def width(self) -> int:
-        return self.v.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.v.shape[0]
-
 
 def gray_image(plane: np.ndarray) -> RgbImage:
     """A gray image stored once: the (h, w) uint8 plane viewed as three channels.
@@ -101,12 +93,12 @@ def copy_pixels(img: RgbImage, out: np.ndarray) -> None:
 
 
 def value_channel(img: RgbImage) -> np.ndarray:
-    """The V channel alone (max of R, G, B per pixel) as float64."""
+    """The V channel (max of R, G, B per pixel) as uint8; a gray view's own plane."""
     plane = gray_plane(img)
     if plane is not None:
-        return plane.astype(np.float64)
+        return plane
     p = img.pixels
-    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]).astype(np.float64)
+    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2])
 
 
 def rgb_to_hsv(img: RgbImage) -> HsvImage:
@@ -121,10 +113,7 @@ def rgb_to_hsv(img: RgbImage) -> HsvImage:
         zero = np.zeros_like(v)
         return HsvImage(h=zero, s=zero.copy(), v=v)
 
-    rgb = img.pixels.astype(np.float64)
-    r = np.ascontiguousarray(rgb[..., 0])
-    g = np.ascontiguousarray(rgb[..., 1])
-    b = np.ascontiguousarray(rgb[..., 2])
+    r, g, b = (img.pixels[..., c].astype(np.float64) for c in range(3))
 
     v = np.maximum(np.maximum(r, g), b)
     c = v - np.minimum(np.minimum(r, g), b)

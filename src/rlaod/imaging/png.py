@@ -43,29 +43,31 @@ def write_png(img: RgbImage, path: str | Path) -> None:
 
 
 def _unfilter(kind: int, row: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
-    out = row.astype(np.int64)
+    """Undo one row's filter; uint8 arithmetic wraps mod 256, as PNG requires."""
     if kind == 0:
-        return out
+        return row
     if kind == 2:
-        return (out + prev) % 256
-    n = len(row)
-    res = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        a = res[i - bpp] if i >= bpp else 0
-        b = prev[i]
-        if kind == 1:
-            res[i] = (out[i] + a) % 256
-        elif kind == 3:
-            res[i] = (out[i] + (a + b) // 2) % 256
-        elif kind == 4:
-            c = prev[i - bpp] if i >= bpp else 0
+        return row + prev
+    if kind == 1:
+        return np.cumsum(row.reshape(-1, bpp), axis=0, dtype=np.uint8).ravel()
+    if kind not in (3, 4):
+        raise ImageFormatError(f"unknown PNG filter type {kind}")
+    # Average and Paeth depend on the previous output byte: one byte at a
+    # time, on Python ints (a numpy scalar overflow would warn).
+    raw, up = row.tolist(), prev.tolist()
+    out = bytearray(len(raw))
+    for i, x in enumerate(raw):
+        a = out[i - bpp] if i >= bpp else 0
+        b = up[i]
+        if kind == 3:
+            pred = (a + b) // 2
+        else:
+            c = up[i - bpp] if i >= bpp else 0
             p = a + b - c
             pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
             pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
-            res[i] = (out[i] + pred) % 256
-        else:
-            raise ImageFormatError(f"unknown PNG filter type {kind}")
-    return res
+        out[i] = (x + pred) & 0xFF
+    return np.frombuffer(out, dtype=np.uint8)
 
 
 def read_png(path: str | Path) -> RgbImage:
@@ -110,11 +112,9 @@ def _decode_png(data: bytes, path: str | Path) -> RgbImage:
     if len(raw) != height * (stride + 1):
         raise ImageFormatError(f"{path}: decompressed size mismatch")
 
-    pixels = np.zeros((height, stride), dtype=np.int64)
-    prev = np.zeros(stride, dtype=np.int64)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    pixels = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):
-        line = raw[y * (stride + 1) : (y + 1) * (stride + 1)]
-        row = np.frombuffer(line[1:], dtype=np.uint8)
-        prev = _unfilter(line[0], row, prev, bpp=3)
-        pixels[y] = prev
-    return gray_if_equal(pixels.reshape(height, width, 3).astype(np.uint8))
+        prev = pixels[y] = _unfilter(int(rows[y, 0]), rows[y, 1:], prev, bpp=3)
+    return gray_if_equal(pixels.reshape(height, width, 3))

@@ -32,7 +32,10 @@ def read_ppm(path: str | Path) -> RgbImage:
         m = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\d+)").match(data, pos)
         if m is None:
             raise ImageFormatError(f"{path}: malformed PPM header")
-        fields.append(int(m.group(1)))
+        try:
+            fields.append(int(m.group(1)))
+        except ValueError as exc:  # more digits than int() converts
+            raise ImageFormatError(f"{path}: malformed PPM header ({exc})") from exc
         pos = m.end()
     width, height, maxval = fields
     if width < 1 or height < 1:

@@ -123,7 +123,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers decode errors
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must contain a JSON object")

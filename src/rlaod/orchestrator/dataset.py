@@ -8,7 +8,6 @@ Manifest layout:
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from ..errors import ConfigError, ImageFormatError
 from ..imaging import estimate_brightness_level, read_ppm, value_channel, write_ppm
 from ..imaging.png import read_png, write_png
 from ..metrics import Box2D, GroundTruthBox
+from ..util import finite_floats
 
 MANIFEST_NAME = "manifest.json"
 
@@ -86,26 +86,24 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def _image_id(entry, key: str, where: str) -> int:
-    try:
-        return int(_field(entry, key, where))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad {key}: {exc}") from exc
+def _integer(value, what: str, where: str) -> int:
+    """A manifest number as an int; ConfigError for a str, bool, NaN or inf."""
+    if finite_floats([value]) is None:
+        raise ConfigError(f"{where}: bad {what} {value!r}")
+    return int(value)
 
 
 def _truth(ann, where: str) -> GroundTruthBox:
     """The ground-truth box of one manifest annotation ([x, y, w, h])."""
     bbox = _field(ann, "bbox", where)
-    if not (
-        isinstance(bbox, list)
-        and len(bbox) == 4
-        and all(isinstance(v, (int, float)) and math.isfinite(v) for v in bbox)
-    ):
+    box = finite_floats(bbox)
+    if box is None or box.shape != (4,):
         raise ConfigError(f"{where}: bbox {bbox!r} is not 4 finite numbers")
-    x, y, w, h = (float(v) for v in bbox)
+    x, y, w, h = box.tolist()
+    category = _integer(ann.get("category", 0), "category", where)
     try:
-        return GroundTruthBox(box=Box2D(x, y, x + w, y + h), category=int(ann.get("category", 0)))
-    except (TypeError, ValueError) as exc:
+        return GroundTruthBox(box=Box2D(x, y, x + w, y + h), category=category)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -121,7 +119,7 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
         manifest_path = manifest_path / MANIFEST_NAME
     try:
         data = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers decode errors
         raise ConfigError(f"cannot read manifest {manifest_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"manifest {manifest_path} must contain a JSON object")
@@ -132,14 +130,17 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
     by_image: dict[int, list[GroundTruthBox]] = {}
     for i, ann in enumerate(data.get("annotations", [])):
         where = f"{manifest_path}: annotation {i}"
-        image_id = _image_id(ann, "image_id", where)
+        image_id = _integer(_field(ann, "image_id", where), "image_id", where)
         by_image.setdefault(image_id, []).append(_truth(ann, where))
 
     scenes = []
     for i, entry in enumerate(data.get("images", [])):
         where = f"{manifest_path}: image {i}"
-        image_id = _image_id(entry, "id", where)
-        path = manifest_path.parent / str(_field(entry, "file", where))
+        image_id = _integer(_field(entry, "id", where), "id", where)
+        name = _field(entry, "file", where)
+        if not isinstance(name, str) or "\x00" in name:  # open() raises ValueError on NUL
+            raise ConfigError(f"{where}: file {name!r} is not a file name")
+        path = manifest_path.parent / name
         try:
             image = read_png(path) if path.suffix == ".png" else read_ppm(path)
         except OSError as exc:

@@ -23,6 +23,22 @@ def hash_unit(*parts: int) -> float:
     return h / 2.0**64
 
 
+def all_numbers(values) -> bool:
+    """True when every value is an int or a float; never a str or a bool."""
+    return set(map(type, values)) <= {int, float}
+
+
+def finite_floats(values) -> np.ndarray | None:
+    """A list of finite ints and floats as a float64 array; else None."""
+    if not (isinstance(values, list) and all_numbers(values)):
+        return None
+    try:
+        floats = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return floats if np.isfinite(floats).all() else None
+
+
 def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     """Round to nearest integer, halves away from zero (unlike numpy's banker's rounding)."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)

@@ -1,7 +1,15 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rlaod.imaging import BrightnessModel, RgbImage, render_brightness
+from rlaod.imaging.png import _SIGNATURE, _chunk
+
+# `--hypothesis-profile=fuzz` runs the parser fuzz tests at length.
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @pytest.fixture
@@ -42,3 +50,40 @@ def per_call_hsv_to_rgb(h, s, v):
         chan = v - c * np.maximum(w, 0.0)
         out[..., i] = np.minimum(np.maximum(np.floor(chan + 0.5), 0.0), 255.0)
     return out
+
+
+def filtered_png(pixels, filters) -> bytes:
+    """An 8-bit RGB PNG of (h, w, 3) uint8 pixels, row y encoded with PNG
+    filter type filters[y] (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth)."""
+    h, w = pixels.shape[:2]
+    raw = bytearray()
+    prev = [0] * (w * 3)
+    for y in range(h):
+        line = pixels[y].ravel().tolist()
+        filt = int(filters[y])
+        raw.append(filt)
+        for i in range(w * 3):
+            a = line[i - 3] if i >= 3 else 0
+            b = prev[i]
+            c = prev[i - 3] if i >= 3 else 0
+            if filt == 0:
+                pred = 0
+            elif filt == 1:
+                pred = a
+            elif filt == 2:
+                pred = b
+            elif filt == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            raw.append((line[i] - pred) % 256)
+        prev = line
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (
+        _SIGNATURE
+        + _chunk(b"IHDR", ihdr)
+        + _chunk(b"IDAT", zlib.compress(bytes(raw)))
+        + _chunk(b"IEND", b"")
+    )

@@ -251,6 +251,43 @@ class TestExitCodes:
         )
         assert capsys.readouterr().err.count("weight file error: ") == 2
 
+    def test_non_finite_weight_file_is_5(self, tmp_path, tiny_config_file, capsys):
+        weights = tmp_path / "w"
+        sizes = (STATE_DIM, 8, 2)
+        brightness = init_params(sizes, seed=1)
+        brightness.flat[:] = np.nan
+        AgentBundle(brightness, init_params(sizes, seed=2)).save(weights)
+        capsys.readouterr()
+        assert (
+            run_cli(
+                "--config", tiny_config_file,
+                "evaluate", "--modes", "B4", "--weights", str(weights),
+                "--out", str(tmp_path / "r"), "--n", "1",
+            )
+            == 5
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("weight file error: ") and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_oversized_ppm_header_is_7(self, tmp_path, tiny_config_file, capsys):
+        data = tmp_path / "data"
+        assert run_cli("--config", tiny_config_file, "gen-data", "--out", str(data), "--n", "2") == 0
+        scene = sorted(data.glob("scene_*.ppm"))[0]
+        data_bytes = scene.read_bytes()  # "P6\n64 64\n255\n" + raster
+        scene.write_bytes(b"P6\n" + b"9" * 5000 + data_bytes[data_bytes.index(b" ") :])
+        capsys.readouterr()
+        assert (
+            run_cli(
+                "--config", tiny_config_file,
+                "evaluate", "--modes", "FR", "--data", str(data), "--out", str(tmp_path / "r"),
+            )
+            == 7
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("image file error: ") and "malformed PPM header" in err
+        assert "Traceback" not in err
+
     def test_truncated_image_is_7(self, tmp_path, tiny_config_file, capsys):
         data = tmp_path / "data"
         assert run_cli("--config", tiny_config_file, "gen-data", "--out", str(data), "--n", "2") == 0

@@ -106,7 +106,9 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4, state_dim=3)
         buf.push(make_transition(rng, dim=3, terminal=True, reward=-1.0))
         batch = buf.gather(np.array([0]))
-        assert batch.states.dtype == np.float64
+        assert batch.states.dtype == np.float32
+        assert batch.next_states.dtype == np.float32
+        assert batch.rewards.dtype == np.float64
         assert batch.terminals[0]
         assert batch.rewards[0] == -1.0
 

@@ -211,17 +211,22 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
+# Strings and bools that int() or float() would read as numbers.
+_LOOKALIKES = st.booleans() | st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,3})?", fullmatch=True)
 # Mostly well-formed detections and contexts, each with one field (or the
 # last context value) replaced by an arbitrary JSON value some of the time.
 _ENTRIES = st.fixed_dictionaries(
-    {"bbox": st.lists(_NUMBERS, min_size=4, max_size=4) | _JSON, "score": _NUMBERS | _JSON},
-    optional={"category": _NUMBERS | _JSON},
+    {
+        "bbox": st.lists(_NUMBERS | _LOOKALIKES, min_size=4, max_size=4) | _LOOKALIKES | _JSON,
+        "score": _NUMBERS | _LOOKALIKES | _JSON,
+    },
+    optional={"category": _NUMBERS | _LOOKALIKES | _JSON},
 )
 _CONTEXTS = _JSON | st.builds(
     lambda n, fill, last: [fill] * (n - 1) + [last],
     st.sampled_from([511, 512, 1024]),
-    st.floats(-1e6, 1e6),
-    _NUMBERS | _JSON,
+    st.floats(-1e6, 1e6) | _LOOKALIKES,
+    _NUMBERS | _LOOKALIKES | _JSON,
 )
 _PAYLOADS = _JSON | st.fixed_dictionaries(
     {
@@ -236,7 +241,8 @@ _PAYLOADS = _JSON | st.fixed_dictionaries(
 @given(payload=_PAYLOADS)
 def test_parse_fuzz(payload):
     """Whatever JSON a detector sends, parsing either raises ProtocolError
-    or returns finite boxes and a finite 512-value context."""
+    or returns finite boxes and a finite 512-value context, and no string or
+    bool is ever read as a number."""
     try:
         out = ExternalDetector._parse(payload, 1)
     except ProtocolError:
@@ -245,6 +251,10 @@ def test_parse_fuzz(payload):
         b = d.box
         assert np.all(np.isfinite([b.x_min, b.y_min, b.x_max, b.y_max]))
     assert out.context.shape == (512,) and np.all(np.isfinite(out.context))
+    read = list(payload["context"])
+    for entry in payload["detections"]:
+        read += [*entry["bbox"], entry["score"], entry.get("category", 0)]
+    assert not any(isinstance(v, (str, bool)) for v in read)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +267,20 @@ def test_parse_fuzz(payload):
         ("bbox", [0.0, 0.0, float("nan"), 5.0]),
         ("bbox", [float("-inf"), 0.0, float("inf"), 5.0]),
         ("category", float("inf")),
+        ("bbox", "0159"),
+        ("bbox", [True, 0.0, 5.0, 5.0]),
+        ("score", "0.5"),
+        ("score", True),
+        ("category", "7"),
+        ("category", True),
+        ("context", ["1"] * 512),
+        ("context", [True] * 512),
     ],
-    ids=["string", "ragged", "dict", "non-numeric", "nan-bbox", "inf-bbox", "inf-category"],
+    ids=[
+        "string", "ragged", "dict", "non-numeric", "nan-bbox", "inf-bbox", "inf-category",
+        "string-bbox", "bool-in-bbox", "string-score", "bool-score", "string-category",
+        "bool-category", "string-context", "bool-context",
+    ],
 )
 def test_parse_rejects(field, value):
     entry = {"bbox": [0.0, 0.0, 5.0, 5.0], "score": 0.5}

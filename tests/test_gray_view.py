@@ -69,6 +69,12 @@ class TestGrayImage:
     def test_full_array_is_not_a_view(self, plane):
         assert gray_plane(materialised(gray_image(plane))) is None
 
+    def test_value_channel(self, plane):
+        v = value_channel(gray_image(plane))
+        assert v.dtype == np.uint8
+        assert np.shares_memory(v, plane)
+        assert np.array_equal(v, plane)
+
 
 class TestViewMatchesFullArray:
     def test_rgb_to_hsv(self, plane):

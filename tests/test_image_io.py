@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import filtered_png
 from rlaod.errors import ImageFormatError
 from rlaod.imaging import RgbImage, read_ppm, write_ppm
 from rlaod.imaging.png import read_png, write_png
@@ -49,6 +50,13 @@ class TestPpm:
         path = tmp_path / "e.ppm"
         path.write_bytes(b"P6\n0 4\n255\n")
         with pytest.raises(ImageFormatError):
+            read_ppm(path)
+
+    def test_oversized_header_number_is_image_format_error(self, tmp_path):
+        # int() refuses strings of more than 4300 digits with a bare ValueError.
+        path = tmp_path / "big.ppm"
+        path.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        with pytest.raises(ImageFormatError, match="malformed PPM header"):
             read_ppm(path)
 
     def test_truncated_is_image_format_error(self, image, tmp_path):
@@ -133,3 +141,12 @@ class TestPng:
             path = tmp_path / f"f{filt}.png"
             path.write_bytes(blob)
             assert np.array_equal(read_png(path).pixels, image.pixels), f"filter {filt}"
+
+        # Random content at widths 1, 2 and 31, every filter type mixed over the rows.
+        mixed = np.random.default_rng(31)
+        for w in (1, 2, 31):
+            pixels = mixed.integers(0, 256, (6, w, 3), dtype=np.uint8)
+            filters = mixed.permutation([0, 1, 2, 3, 4, int(mixed.integers(0, 5))])
+            path = tmp_path / f"mixed{w}.png"
+            path.write_bytes(filtered_png(pixels, filters))
+            assert np.array_equal(read_png(path).pixels, pixels), f"width {w}"

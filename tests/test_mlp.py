@@ -419,3 +419,17 @@ class TestWeightsIo:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(WeightFormatError):
             load_params(path)
+
+    # Little-endian f32: quiet NaN, +inf, -inf, and a signalling NaN (whose
+    # widening would warn, so the loader must reject it first).
+    @pytest.mark.parametrize(
+        "bad", [b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f", b"\x00\x00\x80\xff", b"\x01\x00\x80\x7f"],
+        ids=["nan", "inf", "-inf", "snan"],
+    )
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        path = tmp_path / "w.rlw"
+        save_params(init_params([4, 3, 2], seed=0), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:40] + bad + data[44:])  # the first layer's 6th weight
+        with pytest.raises(WeightFormatError, match="non-finite"):
+            load_params(path)

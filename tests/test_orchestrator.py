@@ -244,6 +244,13 @@ class TestDataset:
             ("annotations", "bbox", [1.0, 2.0, 0.0, 4.0], "degenerate box"),
             ("annotations", "bbox", [1.0, 2.0, 3.0, -4.0], "degenerate box"),
             ("annotations", "category", "cat", "annotation 0"),
+            ("annotations", "bbox", [True, 2.0, 3.0, 4.0], "not 4 finite numbers"),
+            ("annotations", "category", "7", "bad category"),
+            ("annotations", "category", True, "bad category"),
+            ("annotations", "image_id", "0", "bad image_id"),
+            ("images", "id", "0", "bad id"),
+            ("images", "id", False, "bad id"),
+            ("images", "file", 7, "not a file name"),
         ],
     )
     def test_bad_manifest_content_is_config_error(self, tmp_path, section, key, value, match):
