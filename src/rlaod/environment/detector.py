@@ -50,7 +50,7 @@ class DetectorOutput:
 def brightness_quality(level: float, calib: DetectorCalibration) -> float:
     """1 inside the nominal band, linear decay to 0 at the outer level."""
     excess = max(0.0, abs(level) - calib.bright_full_band)
-    return float(np.clip(1.0 - excess / (calib.bright_zero_at - calib.bright_full_band), 0.0, 1.0))
+    return min(1.0, max(0.0, 1.0 - excess / (calib.bright_zero_at - calib.bright_full_band)))
 
 
 def area_quality(area: float, calib: DetectorCalibration) -> float:
@@ -67,6 +67,17 @@ def area_quality(area: float, calib: DetectorCalibration) -> float:
             math.log(calib.area_zero_above) - math.log(hi)
         )
     return 1.0
+
+
+@lru_cache(maxsize=4096)
+def _truth_draws(seed: int, j: int) -> tuple[float, tuple[bool, ...]]:
+    """Emission threshold and four jitter signs (True for +) of truth j.
+
+    They depend on (seed, j) alone, and an episode detects the same truths
+    once per step, so they are hashed once and then looked up.
+    """
+    threshold = 0.05 + 0.9 * hash_unit(seed, j)
+    return threshold, tuple(hash_unit(seed, j, k) < 0.5 for k in range(4))
 
 
 @lru_cache(maxsize=4)
@@ -107,14 +118,12 @@ class OracleDetector:
         detections: list[Detection] = []
         for j, truth in enumerate(truths):
             q = q_bright * area_quality(truth.box.area, calib)
-            threshold = 0.05 + 0.9 * hash_unit(seed, j)
+            threshold, signs = _truth_draws(seed, j)
             if q < threshold:
                 continue
             mag = (1.0 - q) * calib.jitter_coeff * math.sqrt(truth.box.area)
             b = truth.box
-            jit = [
-                mag if hash_unit(seed, j, k) < 0.5 else -mag for k in range(4)
-            ]
+            jit = [mag if up else -mag for up in signs]
             detections.append(
                 Detection(
                     box=Box2D(

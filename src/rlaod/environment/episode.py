@@ -23,6 +23,7 @@ from ..imaging import (
     estimate_scale_level,
     fit_brightness_base,
     gray_image,
+    gray_plane,
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
@@ -46,7 +47,6 @@ from .scene import Scene, resized_truths
 class EpisodeState:
     original: Scene
     detector: object
-    hsv0: HsvImage
     brightness: BrightnessModel  # level tracks the current L^b
     scale: ScaleModel  # level tracks the current L^s
     initial_scale_level: float
@@ -62,7 +62,9 @@ class EpisodeState:
     # Cache of the last brightness render (scale-only steps reuse it).
     rendered_frame: RgbImage | None = None
     rendered_level_b: float | None = None
-    # hue_weights(hsv0.h), computed on the first RGB render of the episode.
+    # HSV of the original image and hue_weights(hsv0.h), both computed on
+    # the first RGB render of the episode; gray episodes never need them.
+    hsv0: HsvImage | None = None
     hue_weights: np.ndarray | None = None
 
 
@@ -75,11 +77,20 @@ def detection_mean_area(
     return float(np.mean(areas))
 
 
+def _is_gray(image: RgbImage) -> bool:
+    """True for a gray view, or a full array whose three channels are equal
+    (exactly the images whose HSV saturation is zero everywhere)."""
+    if gray_plane(image) is not None:
+        return True
+    p = image.pixels
+    r = p[..., 0]
+    return bool(np.array_equal(r, p[..., 1]) and np.array_equal(r, p[..., 2]))
+
+
 def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     """Run the detector once and fit the episode's attribute models."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    hsv = rgb_to_hsv(scene.image)
     v = value_channel(scene.image)
     output = detector.detect(scene.image, scene.truths, scene.seed, precomputed_v=v)
 
@@ -90,7 +101,6 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     return EpisodeState(
         original=scene,
         detector=detector,
-        hsv0=hsv,
         brightness=brightness,
         scale=ScaleModel(level=level_s),
         initial_scale_level=level_s,
@@ -102,7 +112,7 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         current_truths=list(scene.truths),
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
-        grayscale=bool(hsv.s.max() <= 0.0),
+        grayscale=_is_gray(scene.image),
     )
 
 
@@ -135,7 +145,7 @@ def step_episode(
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
-    weights = state.hue_weights
+    hsv0, weights = state.hsv0, state.hue_weights
     if state.rendered_level_b == level_b:
         frame = state.rendered_frame
     else:
@@ -144,9 +154,10 @@ def step_episode(
             # hsv_to_rgb's gray rounding; render_brightness already clamps.
             frame = gray_image(np.floor(v + 0.5).astype(np.uint8))
         else:
-            if weights is None:
-                weights = hue_weights(state.hsv0.h)
-            frame = hsv_to_rgb(merge_v_channel(state.hsv0, v), weights)
+            if hsv0 is None:
+                hsv0 = rgb_to_hsv(scene.image)
+                weights = hue_weights(hsv0.h)
+            frame = hsv_to_rgb(merge_v_channel(hsv0, v), weights)
     image = resize_bilinear(frame, cumulative)
     current_v = value_channel(image)
     truths = resized_truths(scene, cumulative, image.width, image.height)
@@ -168,6 +179,7 @@ def step_episode(
         last_p=p_next,
         rendered_frame=frame,
         rendered_level_b=level_b,
+        hsv0=hsv0,
         hue_weights=weights,
     )
     terminal = new_state.step == state.horizon

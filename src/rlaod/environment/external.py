@@ -26,7 +26,7 @@ from ..errors import ProtocolError
 from ..features import reduce_context
 from ..imaging import RgbImage, write_ppm
 from ..imaging.png import write_png
-from ..metrics import Box2D, Detection
+from ..metrics import Box2D, Detection, finite_extent
 from ..util import all_numbers, finite_floats
 from .detector import DetectorOutput
 
@@ -158,7 +158,10 @@ class ExternalDetector:
                 score, category = entry["score"], entry.get("category", 0)
                 if box is None or box.shape != (4,) or not all_numbers([score, category]):
                     raise ValueError("bbox, score and category must be finite numbers")
-                detections.append(Detection(Box2D(*box.tolist()), float(score), int(category)))
+                b = Box2D(*box.tolist())
+                if not finite_extent(b):
+                    raise ValueError(f"bbox {entry['bbox']!r} has an infinite extent")
+                detections.append(Detection(b, float(score), int(category)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed detection entry: {exc}") from exc
 

@@ -44,10 +44,13 @@ def brightness_histogram(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.size < 1:
         raise ValueError("V channel must contain at least one pixel")
-    # Values are in [0, 255]; truncation equals floor, so int-cast then
-    # shift is bin = floor(v / 4).
-    idx = np.minimum(v.astype(np.int64) >> 2, HIST_BINS - 1).ravel()
-    counts = np.bincount(idx, minlength=HIST_BINS).astype(np.float64)
+    # bin = floor(v / 4). A uint8 plane shifts as it is, with no int64 copy;
+    # float values in [0, 255] truncate (which equals floor) to int first.
+    if v.dtype == np.uint8:
+        idx = v >> 2
+    else:
+        idx = np.minimum(v.astype(np.int64) >> 2, HIST_BINS - 1)
+    counts = np.bincount(idx.ravel(), minlength=HIST_BINS).astype(np.float64)
     return counts / v.size
 
 
@@ -73,13 +76,11 @@ def area_histogram(detections: Sequence, min_score: float = AREA_SCORE_MIN) -> n
     detections are excluded; an empty list yields the zero vector.
     """
     areas = [d.box.area for d in detections if d.score >= min_score]
-    hist = np.zeros(HIST_BINS)
     if not areas:
-        return hist
+        return np.zeros(HIST_BINS)
     idx = np.searchsorted(AREA_BIN_EDGES, np.array(areas), side="right") - 1
-    for i in np.clip(idx, 0, HIST_BINS - 1):
-        hist[i] += 1.0
-    return hist / len(areas)
+    counts = np.bincount(np.clip(idx, 0, HIST_BINS - 1), minlength=HIST_BINS)
+    return counts / len(areas)
 
 
 _SMOOTH_CACHE: dict[tuple[int, float, int], np.ndarray] = {}

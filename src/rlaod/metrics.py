@@ -7,6 +7,7 @@ and a COCO-style average-precision report over an image set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,17 @@ class Box2D:
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+
+
+def finite_extent(box: Box2D) -> bool:
+    """True when the box's width, height and area are finite.
+
+    Finite corners are not enough: x_max - x_min, and the area, can still
+    overflow to inf. Readers of untrusted boxes check this; Box2D itself
+    does not, since the detectors build boxes on their hot path.
+    """
+    w, h = box.x_max - box.x_min, box.y_max - box.y_min
+    return math.isfinite(w) and math.isfinite(h) and math.isfinite(w * h)
 
 
 @dataclass(frozen=True)

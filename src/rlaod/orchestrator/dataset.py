@@ -15,7 +15,7 @@ from ..environment import Scene, SceneParams, generate_scene
 from ..errors import ConfigError, ImageFormatError
 from ..imaging import estimate_brightness_level, read_ppm, value_channel, write_ppm
 from ..imaging.png import read_png, write_png
-from ..metrics import Box2D, GroundTruthBox
+from ..metrics import Box2D, GroundTruthBox, finite_extent
 from ..util import finite_floats
 
 MANIFEST_NAME = "manifest.json"
@@ -102,9 +102,12 @@ def _truth(ann, where: str) -> GroundTruthBox:
     x, y, w, h = box.tolist()
     category = _integer(ann.get("category", 0), "category", where)
     try:
-        return GroundTruthBox(box=Box2D(x, y, x + w, y + h), category=category)
+        box = Box2D(x, y, x + w, y + h)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not finite_extent(box):
+        raise ConfigError(f"{where}: bbox {bbox!r} has an infinite extent")
+    return GroundTruthBox(box=box, category=category)
 
 
 def load_dataset(manifest_path: str | Path) -> list[Scene]:

@@ -195,6 +195,21 @@ class TestExitCodes:
             == 3
         )
 
+    def test_overflowing_detector_box_is_3(self, tmp_path, tiny_config_file, capsys):
+        fixture = tmp_path / "reply.json"
+        fixture.write_text(
+            json.dumps({"detections": [{"bbox": [-1e308, -1e308, 1e308, 1e308], "score": 0.5}]})
+        )
+        endpoint = f"{sys.executable} -m rlaod.environment.stub_detector --fixture {fixture}"
+        args = ("evaluate", "--modes", "FR", "--n", "1", "--out", str(tmp_path / "r"))
+        assert (
+            run_cli("--config", tiny_config_file, "--detector", "external", "--endpoint", endpoint, *args)
+            == 3
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("detector error: ") and "infinite extent" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "endpoint, code, label",
         [
@@ -310,6 +325,7 @@ class TestExitCodes:
         [
             (lambda m: m["images"][0].pop("file"), "has no 'file'"),
             (lambda m: m["annotations"][0].update(bbox=[1.0, 2.0, 3.0]), "not 4 finite numbers"),
+            (lambda m: m["annotations"][0].update(bbox=[1e308, 0.0, 1e308, 1.0]), "infinite extent"),
         ],
     )
     def test_bad_manifest_content_is_2(self, tmp_path, tiny_config_file, capsys, edit, message):

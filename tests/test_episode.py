@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from conftest import per_call_hsv_to_rgb
 from rlaod.environment import (
     DegradeKind,
@@ -13,6 +15,7 @@ from rlaod.environment import (
     reset_episode,
     step_episode,
 )
+from rlaod.environment import episode as episode_module
 from rlaod.errors import ContractViolation
 from rlaod.imaging import (
     AttributeAction,
@@ -191,6 +194,50 @@ class TestStep:
         _, r_b, r_s, _ = step_episode(ep, AttributeAction.BRIGHTEN, AttributeAction.ZOOM_IN)
         assert r_b is not None and r_s is not None
         assert r_b == r_s
+
+
+class TestResetSkipsHsv:
+    """Only an RGB render needs the original image's HSV: resets and gray
+    episodes never convert, and a tinted episode converts once."""
+
+    B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
+    ZI, ZO = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+        convert = episode_module.rgb_to_hsv
+
+        def counting(img):
+            calls.append(img)
+            return convert(img)
+
+        monkeypatch.setattr(episode_module, "rgb_to_hsv", counting)
+        return calls
+
+    def test_gray_episode(self, detector, conversions):
+        scene = degrade(generate_scene(13, PARAMS), DegradeOp(DegradeKind.OVER_EXPOSE, 0.5))
+        ep = reset_episode(scene, detector, 4)
+        assert ep.grayscale and ep.hsv0 is None
+        assert conversions == []
+        for a_b, a_s in [(self.B, self.ZI), (self.D, None), (None, self.ZO), (self.D, self.ZO)]:
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+        assert conversions == [] and ep.hsv0 is None
+
+    def test_tinted_reset(self, detector, conversions):
+        scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
+        ep = reset_episode(scene, detector, 4)
+        assert not ep.grayscale and ep.hsv0 is None
+        assert conversions == []
+
+    def test_tinted_episode_converts_once(self, detector, conversions):
+        scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
+        scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
+        ep = reset_episode(scene, detector, 5)
+        for a_b, a_s in [(self.B, None), (self.B, self.ZI), (None, self.ZO), (self.D, None), (self.B, self.ZO)]:
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+        assert len(conversions) == 1 and conversions[0] is scene.image
+        assert ep.hsv0 is not None
 
 
 class TestTowardNominalPolicy:

@@ -275,11 +275,13 @@ def test_parse_fuzz(payload):
         ("category", True),
         ("context", ["1"] * 512),
         ("context", [True] * 512),
+        ("bbox", [-1e308, -1e308, 1e308, 1e308]),
+        ("bbox", [0.0, 0.0, 1e200, 1e200]),
     ],
     ids=[
         "string", "ragged", "dict", "non-numeric", "nan-bbox", "inf-bbox", "inf-category",
         "string-bbox", "bool-in-bbox", "string-score", "bool-score", "string-category",
-        "bool-category", "string-context", "bool-context",
+        "bool-category", "string-context", "bool-context", "overflow-extent", "overflow-area",
     ],
 )
 def test_parse_rejects(field, value):

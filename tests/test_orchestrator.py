@@ -251,6 +251,8 @@ class TestDataset:
             ("images", "id", "0", "bad id"),
             ("images", "id", False, "bad id"),
             ("images", "file", 7, "not a file name"),
+            ("annotations", "bbox", [1e308, 0.0, 1e308, 1.0], "infinite extent"),
+            ("annotations", "bbox", [0.0, 0.0, 1e200, 1e200], "infinite extent"),
         ],
     )
     def test_bad_manifest_content_is_config_error(self, tmp_path, section, key, value, match):
