@@ -107,12 +107,16 @@ class OracleDetector:
         truths: Sequence[GroundTruthBox],
         seed: int = 0,
         precomputed_v: np.ndarray | None = None,
+        precomputed_level: float | None = None,
     ) -> DetectorOutput:
         """Detect objects. `precomputed_v`, when given, must equal the image's
-        V channel; it only skips recomputing it."""
+        V channel, and `precomputed_level` its estimate_brightness_level;
+        they only skip recomputing them."""
         calib = self.calib
         v = precomputed_v if precomputed_v is not None else value_channel(image)
-        level = estimate_brightness_level(v)
+        level = (
+            precomputed_level if precomputed_level is not None else estimate_brightness_level(v)
+        )
         q_bright = brightness_quality(level, calib)
 
         detections: list[Detection] = []

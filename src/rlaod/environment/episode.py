@@ -78,8 +78,9 @@ def detection_mean_area(
 
 
 def _is_gray(image: RgbImage) -> bool:
-    """True for a gray view, or a full array whose three channels are equal
-    (exactly the images whose HSV saturation is zero everywhere)."""
+    """True for a gray view, or a planar or interleaved image whose three
+    channels are equal (exactly the images whose HSV saturation is zero
+    everywhere)."""
     if gray_plane(image) is not None:
         return True
     p = image.pixels
@@ -92,9 +93,10 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     v = value_channel(scene.image)
-    output = detector.detect(scene.image, scene.truths, scene.seed, precomputed_v=v)
-
     level_b = estimate_brightness_level(v)
+    output = detector.detect(
+        scene.image, scene.truths, scene.seed, precomputed_v=v, precomputed_level=level_b
+    )
     brightness = fit_brightness_base(v, level_b)
     level_s = estimate_scale_level(detection_mean_area(output))
 

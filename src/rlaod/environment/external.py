@@ -115,11 +115,16 @@ class ExternalDetector:
         self._workdir.mkdir(parents=True, exist_ok=True)
 
     def detect(
-        self, image: RgbImage, truths=None, seed: int = 0, precomputed_v=None
+        self,
+        image: RgbImage,
+        truths=None,
+        seed: int = 0,
+        precomputed_v=None,
+        precomputed_level=None,
     ) -> DetectorOutput:
-        """Send one image, parse one response. `truths`, `seed`, and
-        `precomputed_v` are unused; they exist so oracle and external
-        detectors are call-compatible."""
+        """Send one image, parse one response. `truths`, `seed`,
+        `precomputed_v` and `precomputed_level` are unused; they exist so
+        oracle and external detectors are call-compatible."""
         req_id = self._next_id
         self._next_id += 1
         path = self._workdir / f"frame_{req_id}.{self.image_format}"

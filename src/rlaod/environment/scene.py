@@ -17,6 +17,7 @@ from ..imaging import (
     estimate_brightness_level,
     fit_brightness_base,
     gray_image,
+    planar_image,
     render_brightness,
     resample_bilinear,
     value_channel,
@@ -149,8 +150,8 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
 
     if params.tint_strength > 0.0:
         shift = rng.uniform(-params.tint_strength, params.tint_strength, size=3)
-        rgb = np.clip(v[..., None] * (1.0 + shift.reshape(1, 1, 3)), 0.0, 255.0)
-        image = RgbImage(pixels=np.floor(rgb + 0.5).astype(np.uint8))
+        planes = np.clip(v * (1.0 + shift)[:, None, None], 0.0, 255.0)
+        image = planar_image(np.floor(planes + 0.5).astype(np.uint8))
     else:
         image = gray_image(np.floor(v + 0.5).astype(np.uint8))
 

@@ -18,6 +18,7 @@ from .color import (
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
+    planar_image,
     rgb_to_hsv,
     value_channel,
 )

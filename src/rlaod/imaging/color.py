@@ -15,7 +15,8 @@ import numpy as np
 class RgbImage:
     """8-bit RGB image; pixels shape (height, width, 3), dtype uint8.
 
-    A gray image made by gray_image holds a read-only view of one plane.
+    A gray image made by gray_image holds a read-only view of one plane, and
+    a colour image made by planar_image a view of three contiguous planes.
     """
 
     pixels: np.ndarray
@@ -58,6 +59,16 @@ def gray_image(plane: np.ndarray) -> RgbImage:
     return RgbImage(pixels=np.broadcast_to(plane[..., None], plane.shape + (3,)))
 
 
+def planar_image(planes: np.ndarray) -> RgbImage:
+    """A colour image stored as three planes: the (3, h, w) uint8 array viewed
+    as (h, w, 3).
+
+    The pixels are a writable view, and ``pixels[..., c]`` is the contiguous
+    plane c, so the kernels here and in resize work one plane at a time.
+    """
+    return RgbImage(pixels=np.moveaxis(planes, 0, -1))
+
+
 def gray_plane(img: RgbImage) -> np.ndarray | None:
     """The (h, w) plane of a gray view (as made by gray_image), else None.
 
@@ -70,26 +81,23 @@ def gray_plane(img: RgbImage) -> np.ndarray | None:
 
 def gray_if_equal(pixels: np.ndarray) -> RgbImage:
     """An image owning a copy of (h, w, 3) uint8 pixels; stored as one plane
-    when all three channels are equal."""
+    when all three channels are equal, else as three planes."""
     r = pixels[..., 0]
     if np.array_equal(r, pixels[..., 1]) and np.array_equal(r, pixels[..., 2]):
         return gray_image(r.copy())
-    return RgbImage(pixels=pixels.copy())
+    return planar_image(np.moveaxis(pixels, -1, 0).copy())
 
 
 def copy_pixels(img: RgbImage, out: np.ndarray) -> None:
     """Copy the pixels into ``out``, a writable (h, w, 3) uint8 array or view.
 
-    Writers copy straight into their output buffer. A gray view is copied
-    one channel at a time, which is several times faster than numpy's
-    strided copy of the whole view.
+    Writers copy straight into their output buffer, one channel at a time:
+    for gray views and planar images that reads contiguous planes, which is
+    several times faster than numpy's strided copy of the whole view.
     """
-    plane = gray_plane(img)
-    if plane is None:
-        out[...] = img.pixels
-        return
+    p = img.pixels
     for c in range(3):
-        out[..., c] = plane
+        out[..., c] = p[..., c]
 
 
 def value_channel(img: RgbImage) -> np.ndarray:
@@ -113,26 +121,31 @@ def rgb_to_hsv(img: RgbImage) -> HsvImage:
         zero = np.zeros_like(v)
         return HsvImage(h=zero, s=zero.copy(), v=v)
 
-    r, g, b = (img.pixels[..., c].astype(np.float64) for c in range(3))
-
+    r, g, b = (img.pixels[..., c] for c in range(3))
     v = np.maximum(np.maximum(r, g), b)
-    c = v - np.minimum(np.minimum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)  # uint8: min <= v
+    # A zero V or C has a zero numerator, so dividing by 1 gives the 0.0
+    # that the textbook formula defines there.
+    s = c / np.maximum(v, 1)
 
-    safe_v = np.where(v > 0.0, v, 1.0)
-    s = np.where(v > 0.0, c / safe_v, 0.0)
-
-    safe_c = np.where(c > 0.0, c, 1.0)
-    h = np.where(
-        c <= 0.0,
-        0.0,
-        np.where(
-            v == r,
-            (g - b) / safe_c,
-            np.where(v == g, (b - r) / safe_c + 2.0, (r - g) / safe_c + 4.0),
-        ),
-    )
-    h = (h * 60.0) % 360.0
-    return HsvImage(h=h, s=s, v=v)
+    # The hue numerator is that of the maximum channel (R before G before B):
+    # g - b, b - r or r - g, each exact in int16, then one division and the
+    # sector offset 0, 2 or 4. These are the float64 operations of the
+    # textbook formula on the same exact operands, so the bits are the same.
+    is_r = v == r
+    is_g = (v == g) & ~is_r
+    is_b = ~(is_r | is_g)
+    num = np.subtract(g, b, dtype=np.int16)
+    np.subtract(b, r, out=num, where=is_g, dtype=np.int16)
+    np.subtract(r, g, out=num, where=is_b, dtype=np.int16)
+    h = num / np.maximum(c, 1)
+    np.add(h, 2.0, out=h, where=is_g)
+    np.add(h, 4.0, out=h, where=is_b)
+    # h * 60 lies in [-60, 300], where % 360 adds 360 to negatives and
+    # returns the rest unchanged.
+    h *= 60.0
+    np.add(h, 360.0, out=h, where=h < 0.0)
+    return HsvImage(h=h, s=s, v=v.astype(np.float64))
 
 
 def hue_weights(h: np.ndarray) -> np.ndarray:
@@ -140,17 +153,30 @@ def hue_weights(h: np.ndarray) -> np.ndarray:
 
     Each channel of hsv_to_rgb is v - (v * s) * w_n(h). The weights depend
     on H alone, so a caller that renders one H plane at many V levels can
-    compute them once and pass them to every hsv_to_rgb call.
+    compute them once and pass them to every hsv_to_rgb call. They are
+    stored as three planes, so ``[..., i]`` reads a contiguous plane.
     """
-    h60 = (h % 360.0) / 60.0  # in [0, 6], or NaN
-    w = np.empty(h.shape + (3,))
+    # h % 360.0 without the slow float modulo on [0, 360), where it returns
+    # h itself; + 0.0 turns -0.0 into the +0.0 that % gives. NaN and
+    # +-inf fail the range test and take the modulo.
+    hm = h + 0.0
+    outside = ~((hm >= 0.0) & (hm < 360.0))
+    if outside.any():
+        hm[outside] %= 360.0
+    h60 = np.divide(hm, 60.0, out=hm)  # in [0, 6], or NaN
+    w = np.empty((3,) + h.shape)
+    k = np.empty_like(h60)
+    t = np.empty_like(h60)
     for i, n in enumerate((5.0, 3.0, 1.0)):  # R, G, B
         # (n + h60) % 6.0 without the slow float modulo: k lies in [1, 11],
         # and k - 6 is exact for k >= 6, so the result has the same bits.
-        k = n + h60
-        k -= 6.0 * (k >= 6.0)
-        w[..., i] = np.maximum(np.minimum(np.minimum(k, 4.0 - k), 1.0), 0.0)
-    return w
+        np.add(n, h60, out=k)
+        np.subtract(k, 6.0, out=k, where=k >= 6.0)
+        np.subtract(4.0, k, out=t)
+        np.minimum(k, t, out=t)
+        np.minimum(t, 1.0, out=t)
+        np.maximum(t, 0.0, out=w[i])
+    return np.moveaxis(w, 0, -1)
 
 
 def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
@@ -159,6 +185,7 @@ def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
     ``weights`` is ``hue_weights(img.h)``, computed here when not given.
     With V clamped to [0, 255] and S to [0, 1], every channel lies in
     [0, V], so the rounded values fit uint8 without a further clamp.
+    The result is a planar image, built one channel plane at a time.
     """
     v = np.minimum(np.maximum(img.v, 0.0), 255.0)
     if img.s.max() <= 0.0:
@@ -168,11 +195,15 @@ def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
     if weights is None:
         weights = hue_weights(img.h)
     c = v * np.minimum(np.maximum(img.s, 0.0), 1.0)
-    chan = weights * c[..., None]
-    np.subtract(v[..., None], chan, out=chan)
-    chan += 0.5
-    np.floor(chan, out=chan)
-    return RgbImage(pixels=chan.astype(np.uint8))
+    out = np.empty((3,) + v.shape, dtype=np.uint8)
+    chan = np.empty_like(v)
+    for i in range(3):
+        np.multiply(weights[..., i], c, out=chan)
+        np.subtract(v, chan, out=chan)
+        chan += 0.5
+        np.floor(chan, out=chan)
+        out[i] = chan
+    return planar_image(out)
 
 
 def merge_v_channel(hsv: HsvImage, v: np.ndarray) -> HsvImage:

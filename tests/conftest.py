@@ -35,6 +35,34 @@ def rendered_image(level, shape, rng):
     return RgbImage(pixels=np.repeat(q[..., None], 3, axis=2))
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_rgb_to_hsv(pixels):
+    """RGB -> HSV by the textbook formula in float64, with nested np.where
+    and the float modulo: the reference rgb_to_hsv must match bit for bit.
+    Takes (h, w, 3) uint8 pixels; returns (h, s, v) float64 planes."""
+    r, g, b = (pixels[..., c].astype(np.float64) for c in range(3))
+    v = np.maximum(np.maximum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)
+    safe_v = np.where(v > 0.0, v, 1.0)
+    s = np.where(v > 0.0, c / safe_v, 0.0)
+    safe_c = np.where(c > 0.0, c, 1.0)
+    h = np.where(
+        c <= 0.0,
+        0.0,
+        np.where(
+            v == r,
+            (g - b) / safe_c,
+            np.where(v == g, (b - r) / safe_c + 2.0, (r - g) / safe_c + 4.0),
+        ),
+    )
+    h = (h * 60.0) % 360.0
+    return h, s, v
+
+
 def per_call_hsv_to_rgb(h, s, v):
     """HSV -> RGB as a single pass with no precomputed hue weights, clamping
     every intermediate: the reference the rendering path must match bit for

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_call_hsv_to_rgb
+from conftest import per_call_hsv_to_rgb, reference_rgb_to_hsv, same_bits
 from rlaod.environment import SceneParams, generate_scene
 from rlaod.imaging import (
     HsvImage,
@@ -13,6 +13,7 @@ from rlaod.imaging import (
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
+    planar_image,
     render_brightness,
     rgb_to_hsv,
     value_channel,
@@ -51,6 +52,20 @@ class TestRgbToHsv:
         hsv = rgb_to_hsv(img)
         assert np.array_equal(hsv.v, px.max(axis=2).astype(float))
         assert np.array_equal(value_channel(img), hsv.v)
+
+    def test_all_rgb_triples_match_reference(self):
+        # Every one of the 2^24 triples, as 256 planar images of 256 x 256:
+        # red fixed per image, green down the rows, blue along the columns.
+        ramp = np.arange(256, dtype=np.uint8)
+        planes = np.empty((3, 256, 256), dtype=np.uint8)
+        planes[1] = ramp[:, None]
+        planes[2] = ramp[None, :]
+        for red in range(256):
+            planes[0] = red
+            img = planar_image(planes)
+            got = rgb_to_hsv(img)
+            for name, want in zip("hsv", reference_rgb_to_hsv(img.pixels)):
+                assert same_bits(getattr(got, name), want), (red, name)
 
     def test_ranges(self, rng):
         hsv = rgb_to_hsv(RgbImage(pixels=rng.integers(0, 256, (20, 20, 3), dtype=np.uint8)))
@@ -114,13 +129,16 @@ class TestHueWeights:
 
     def test_weights_equal_modulo_formula(self, rng):
         edges = [-1e-20, -0.0, 0.0, 1e-300, 59.99999999999999, 60.0, 180.0,
-                 359.99999999999994, 360.0, 720.0, -360.0, -1e300]
+                 359.99999999999994, 360.0, 720.0, -360.0, -1e300,
+                 np.nan, -np.nan, np.inf, -np.inf]
         h = np.concatenate([edges, rng.uniform(-1e4, 1e4, 200)]).reshape(4, -1)
-        h60 = (h % 360.0) / 60.0
+        with np.errstate(invalid="ignore"):  # inf % 360 is NaN
+            h60 = (h % 360.0) / 60.0
+            got = hue_weights(h)
         for i, n in enumerate((5.0, 3.0, 1.0)):
             k = (n + h60) % 6.0
             want = np.maximum(np.minimum(np.minimum(k, 4.0 - k), 1.0), 0.0)
-            assert np.array_equal(hue_weights(h)[..., i], want)
+            assert same_bits(got[..., i], want), i
 
 
 def test_rgb_image_validation():

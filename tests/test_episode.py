@@ -15,6 +15,7 @@ from rlaod.environment import (
     reset_episode,
     step_episode,
 )
+from rlaod.environment import detector as detector_module
 from rlaod.environment import episode as episode_module
 from rlaod.errors import ContractViolation
 from rlaod.imaging import (
@@ -74,6 +75,30 @@ class TestReset:
     def test_bad_horizon(self, detector):
         with pytest.raises(ValueError):
             reset_episode(generate_scene(1, PARAMS), detector, 0)
+
+    @pytest.mark.parametrize("tint", [0.0, 0.25])
+    def test_estimates_brightness_once(self, detector, monkeypatch, tint):
+        # The reset hands its level to the oracle instead of letting the
+        # oracle sort the same V plane again.
+        scene = degrade(
+            generate_scene(6, replace(PARAMS, tint_strength=tint)),
+            DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5),
+        )
+        want = reset_episode(scene, detector, 4)
+        calls = []
+        estimate = episode_module.estimate_brightness_level
+
+        def counting(v):
+            calls.append(v)
+            return estimate(v)
+
+        monkeypatch.setattr(episode_module, "estimate_brightness_level", counting)
+        monkeypatch.setattr(detector_module, "estimate_brightness_level", counting)
+        got = reset_episode(scene, detector, 4)
+        assert len(calls) == 1
+        assert got.brightness.level == want.brightness.level
+        assert got.last_output.detections == want.last_output.detections
+        assert got.last_output.context.tobytes() == want.last_output.context.tobytes()
 
 
 class TestStep:

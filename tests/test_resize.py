@@ -5,6 +5,8 @@ from rlaod.imaging import (
     MAX_SIDE,
     MIN_SIDE,
     RgbImage,
+    gray_image,
+    planar_image,
     resample_bilinear,
     resize_bilinear,
     scaled_dims,
@@ -67,9 +69,14 @@ class TestResample:
         assert got == pytest.approx(loop_bilinear(src, 11, 9), abs=1e-9)
 
     def test_matches_loop_oracle_3ch(self, rng):
+        # Channels resample as separate planes, as resize_bilinear runs them.
         src = rng.uniform(0, 255, size=(6, 6, 3))
-        got = resample_bilinear(src, 4, 13)
+        got = np.stack([resample_bilinear(src[..., c], 4, 13) for c in range(3)], axis=-1)
         assert got == pytest.approx(loop_bilinear(src, 4, 13), abs=1e-9)
+
+    def test_rejects_non_plane(self, rng):
+        with pytest.raises(ValueError, match="plane"):
+            resample_bilinear(rng.uniform(0, 255, size=(6, 6, 3)), 4, 13)
 
     def test_checkerboard_3x3_center_is_midpoint(self):
         # Upscaling 2x2 -> 3x3 samples the exact center: mean of all corners.
@@ -109,31 +116,64 @@ SIZE_PAIRS = [
 
 
 class TestResampleBits:
-    @pytest.mark.parametrize("channels", [None, 3])
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-    def test_equals_separable_formula(self, rng, channels, dtype):
+    def test_equals_separable_formula(self, rng, dtype):
         for (h, w), (out_h, out_w) in SIZE_PAIRS:
-            shape = (h, w) if channels is None else (h, w, channels)
-            src = rng.integers(0, 256, shape).astype(dtype)
+            src = rng.integers(0, 256, (h, w)).astype(dtype)
             if dtype is np.float64:
-                src += rng.uniform(0.0, 1.0, shape)
+                src += rng.uniform(0.0, 1.0, (h, w))
             want = separable_bilinear(src, out_h, out_w)
             for _ in range(2):  # the second call reads the cached tables
                 got = resample_bilinear(src, out_h, out_w)
                 assert got.dtype == np.float64 and got.shape == want.shape
                 assert np.array_equal(got, want), ((h, w), (out_h, out_w))
 
+
+def rounded_separable(pixels, factor):
+    """resize_bilinear's result by the separable formula on all three
+    channels at once, rounded half-up and clamped to uint8."""
+    out_w, out_h = scaled_dims(pixels.shape[1], pixels.shape[0], factor)
+    if (out_w, out_h) == pixels.shape[1::-1]:
+        return pixels.copy()
+    full = separable_bilinear(pixels, out_h, out_w)
+    return np.minimum(np.floor(full + 0.5), 255.0).astype(np.uint8)
+
+
+def layouts(pixels):
+    """The interleaved and planar forms of the same (h, w, 3) pixels."""
+    return {
+        "interleaved": RgbImage(pixels=np.ascontiguousarray(pixels)),
+        "planar": planar_image(np.moveaxis(pixels, -1, 0).copy()),
+    }
+
+
+class TestResizeBits:
+    FACTORS = [0.3, 0.75, 1.0, 1.6, 2.5]
+
+    @pytest.mark.parametrize("layout", ["interleaved", "planar"])
+    def test_equals_separable_formula(self, rng, layout):
+        for (h, w), _ in SIZE_PAIRS:
+            pixels = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+            img = layouts(pixels)[layout]
+            for factor in self.FACTORS:
+                want = rounded_separable(pixels, factor)
+                for _ in range(2):  # the second call reads the cached tables
+                    got = resize_bilinear(img, factor).pixels
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), ((h, w), factor)
+
     def test_strided_source(self, rng):
-        src = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)[::2, 1::3]
-        assert np.array_equal(resample_bilinear(src, 13, 7), separable_bilinear(src, 13, 7))
+        pixels = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)[::2, 1::3]
+        got = resize_bilinear(RgbImage(pixels=pixels), 1.3).pixels
+        assert np.array_equal(got, rounded_separable(pixels, 1.3))
 
     def test_rgb_channels_equal_gray_resample(self, rng):
-        # The gray episode path resamples one channel and replicates it.
+        # The gray episode path resamples one plane and views it three times.
         v = rng.integers(0, 256, (33, 47), dtype=np.uint8)
-        rgb = np.repeat(v[..., None], 3, axis=2)
-        got = resample_bilinear(rgb, 50, 21)
+        rgb = RgbImage(pixels=np.repeat(v[..., None], 3, axis=2))
+        got = resize_bilinear(rgb, 1.4).pixels
         for c in range(3):
-            assert np.array_equal(got[..., c], resample_bilinear(v, 50, 21))
+            assert np.array_equal(got[..., c], resize_bilinear(gray_image(v), 1.4).pixels[..., 0])
 
 
 class TestResizeBilinear:
