@@ -22,8 +22,6 @@ from ..imaging import (
     estimate_brightness_level,
     estimate_scale_level,
     fit_brightness_base,
-    gray_image,
-    gray_plane,
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
@@ -58,7 +56,6 @@ class EpisodeState:
     current_truths: list[GroundTruthBox]
     last_output: DetectorOutput
     last_p: float
-    grayscale: bool = False
     # Cache of the last brightness render (scale-only steps reuse it).
     rendered_frame: RgbImage | None = None
     rendered_level_b: float | None = None
@@ -75,17 +72,6 @@ def detection_mean_area(
     if not areas:
         return None
     return float(np.mean(areas))
-
-
-def _is_gray(image: RgbImage) -> bool:
-    """True for a gray view, or a planar or interleaved image whose three
-    channels are equal (exactly the images whose HSV saturation is zero
-    everywhere)."""
-    if gray_plane(image) is not None:
-        return True
-    p = image.pixels
-    r = p[..., 0]
-    return bool(np.array_equal(r, p[..., 1]) and np.array_equal(r, p[..., 2]))
 
 
 def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
@@ -114,7 +100,6 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         current_truths=list(scene.truths),
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
-        grayscale=_is_gray(scene.image),
     )
 
 
@@ -152,9 +137,9 @@ def step_episode(
         frame = state.rendered_frame
     else:
         v = render_brightness(state.brightness, level_b)
-        if state.grayscale:
+        if len(scene.image.planes) == 1:
             # hsv_to_rgb's gray rounding; render_brightness already clamps.
-            frame = gray_image(np.floor(v + 0.5).astype(np.uint8))
+            frame = RgbImage(np.floor(v + 0.5).astype(np.uint8)[None])
         else:
             if hsv0 is None:
                 hsv0 = rgb_to_hsv(scene.image)

@@ -16,8 +16,6 @@ from ..imaging import (
     RgbImage,
     estimate_brightness_level,
     fit_brightness_base,
-    gray_image,
-    planar_image,
     render_brightness,
     resample_bilinear,
     value_channel,
@@ -151,9 +149,9 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     if params.tint_strength > 0.0:
         shift = rng.uniform(-params.tint_strength, params.tint_strength, size=3)
         planes = np.clip(v * (1.0 + shift)[:, None, None], 0.0, 255.0)
-        image = planar_image(np.floor(planes + 0.5).astype(np.uint8))
+        image = RgbImage(np.floor(planes + 0.5).astype(np.uint8))
     else:
-        image = gray_image(np.floor(v + 0.5).astype(np.uint8))
+        image = RgbImage(np.floor(v + 0.5).astype(np.uint8)[None])
 
     mean_area = float(np.mean([t.box.area for t in truths])) if truths else 0.0
     return Scene(

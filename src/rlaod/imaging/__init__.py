@@ -13,12 +13,9 @@ from .brightness import (
 from .color import (
     HsvImage,
     RgbImage,
-    gray_image,
-    gray_plane,
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
-    planar_image,
     rgb_to_hsv,
     value_channel,
 )

@@ -13,28 +13,49 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RgbImage:
-    """8-bit RGB image; pixels shape (height, width, 3), dtype uint8.
+    """8-bit RGB image stored as uint8 planes of shape (height, width).
 
-    A gray image made by gray_image holds a read-only view of one plane, and
-    a colour image made by planar_image a view of three contiguous planes.
+    ``planes`` holds one plane for a gray image, whose three channels are
+    that plane, or the R, G and B planes of a colour image.
     """
 
-    pixels: np.ndarray
+    planes: np.ndarray
 
     def __post_init__(self):
-        p = self.pixels
-        if p.ndim != 3 or p.shape[2] != 3 or p.dtype != np.uint8:
-            raise ValueError(f"expected (h, w, 3) uint8 pixels, got {p.shape} {p.dtype}")
-        if p.shape[0] < 1 or p.shape[1] < 1:
+        p = self.planes
+        if p.ndim != 3 or p.shape[0] not in (1, 3) or p.dtype != np.uint8:
+            raise ValueError(
+                f"expected (1, h, w) or (3, h, w) uint8 planes, got {p.shape} {p.dtype}"
+            )
+        if p.shape[1] < 1 or p.shape[2] < 1:
             raise ValueError("image must have at least one pixel")
+
+    @classmethod
+    def from_pixels(cls, pixels: np.ndarray) -> "RgbImage":
+        """An image owning a copy of (h, w, 3) uint8 pixels; stored as one
+        plane when all three channels are equal, else as three planes."""
+        if pixels.ndim != 3 or pixels.shape[2] != 3:
+            raise ValueError(f"expected (h, w, 3) pixels, got {pixels.shape}")
+        r = pixels[..., 0]
+        if np.array_equal(r, pixels[..., 1]) and np.array_equal(r, pixels[..., 2]):
+            return cls(r[None].copy())
+        return cls(np.moveaxis(pixels, -1, 0).copy())
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The (h, w, 3) view of the planes; read-only for a gray image."""
+        p = self.planes
+        if len(p) == 1:
+            return np.broadcast_to(p[0][..., None], p.shape[1:] + (3,))
+        return np.moveaxis(p, 0, -1)
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.planes.shape[2]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.planes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -50,78 +71,38 @@ class HsvImage:
             raise ValueError("h, s, v channel shapes must match")
 
 
-def gray_image(plane: np.ndarray) -> RgbImage:
-    """A gray image stored once: the (h, w) uint8 plane viewed as three channels.
-
-    The pixels are a read-only view whose channel stride is 0, so every
-    consumer that knows the layout can work on the one plane.
-    """
-    return RgbImage(pixels=np.broadcast_to(plane[..., None], plane.shape + (3,)))
-
-
-def planar_image(planes: np.ndarray) -> RgbImage:
-    """A colour image stored as three planes: the (3, h, w) uint8 array viewed
-    as (h, w, 3).
-
-    The pixels are a writable view, and ``pixels[..., c]`` is the contiguous
-    plane c, so the kernels here and in resize work one plane at a time.
-    """
-    return RgbImage(pixels=np.moveaxis(planes, 0, -1))
-
-
-def gray_plane(img: RgbImage) -> np.ndarray | None:
-    """The (h, w) plane of a gray view (as made by gray_image), else None.
-
-    Images built from full (h, w, 3) arrays return None even when their
-    channels are equal; they take the three-channel paths.
-    """
-    p = img.pixels
-    return p[..., 0] if p.strides[2] == 0 else None
-
-
-def gray_if_equal(pixels: np.ndarray) -> RgbImage:
-    """An image owning a copy of (h, w, 3) uint8 pixels; stored as one plane
-    when all three channels are equal, else as three planes."""
-    r = pixels[..., 0]
-    if np.array_equal(r, pixels[..., 1]) and np.array_equal(r, pixels[..., 2]):
-        return gray_image(r.copy())
-    return planar_image(np.moveaxis(pixels, -1, 0).copy())
-
-
 def copy_pixels(img: RgbImage, out: np.ndarray) -> None:
     """Copy the pixels into ``out``, a writable (h, w, 3) uint8 array or view.
 
-    Writers copy straight into their output buffer, one channel at a time:
-    for gray views and planar images that reads contiguous planes, which is
-    several times faster than numpy's strided copy of the whole view.
+    Writers copy straight into their output buffer, one contiguous plane
+    per channel, which is several times faster than numpy's strided copy of
+    the whole (h, w, 3) view.
     """
-    p = img.pixels
+    p = img.planes
     for c in range(3):
-        out[..., c] = p[..., c]
+        out[..., c] = p[c if len(p) == 3 else 0]
 
 
 def value_channel(img: RgbImage) -> np.ndarray:
-    """The V channel (max of R, G, B per pixel) as uint8; a gray view's own plane."""
-    plane = gray_plane(img)
-    if plane is not None:
-        return plane
-    p = img.pixels
-    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2])
+    """The V channel (max of R, G, B per pixel) as uint8; a gray image's own plane."""
+    p = img.planes
+    if len(p) == 1:
+        return p[0]
+    return np.maximum(np.maximum(p[0], p[1]), p[2])
 
 
 def rgb_to_hsv(img: RgbImage) -> HsvImage:
     """Standard RGB -> HSV conversion; V is max(R, G, B) kept on the 0..255 scale.
 
-    A gray view converts from its one plane. Equal channels of a full array
-    take the general formula, which gives the same zero H and S.
+    A gray image converts from its one plane. Equal channels of a colour
+    image take the general formula, which gives the same zero H and S.
     """
-    plane = gray_plane(img)
-    if plane is not None:
-        v = plane.astype(np.float64)
+    if len(img.planes) == 1:
+        v = img.planes[0].astype(np.float64)
         zero = np.zeros_like(v)
         return HsvImage(h=zero, s=zero.copy(), v=v)
 
-    r, g, b = (img.pixels[..., c] for c in range(3))
+    r, g, b = img.planes
     v = np.maximum(np.maximum(r, g), b)
     c = v - np.minimum(np.minimum(r, g), b)  # uint8: min <= v
     # A zero V or C has a zero numerator, so dividing by 1 gives the 0.0
@@ -185,12 +166,12 @@ def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
     ``weights`` is ``hue_weights(img.h)``, computed here when not given.
     With V clamped to [0, 255] and S to [0, 1], every channel lies in
     [0, V], so the rounded values fit uint8 without a further clamp.
-    The result is a planar image, built one channel plane at a time.
+    The result is built one channel plane at a time.
     """
     v = np.minimum(np.maximum(img.v, 0.0), 255.0)
     if img.s.max() <= 0.0:
         # Grayscale shortcut; values are nonnegative so half-away == half-up.
-        return gray_image(np.floor(v + 0.5).astype(np.uint8))
+        return RgbImage(np.floor(v + 0.5).astype(np.uint8)[None])
 
     if weights is None:
         weights = hue_weights(img.h)
@@ -203,7 +184,7 @@ def hsv_to_rgb(img: HsvImage, weights: np.ndarray | None = None) -> RgbImage:
         chan += 0.5
         np.floor(chan, out=chan)
         out[i] = chan
-    return planar_image(out)
+    return RgbImage(out)
 
 
 def merge_v_channel(hsv: HsvImage, v: np.ndarray) -> HsvImage:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ImageFormatError
-from .color import RgbImage, copy_pixels, gray_if_equal
+from .color import RgbImage, copy_pixels
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -32,7 +32,7 @@ def write_png(img: RgbImage, path: str | Path) -> None:
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
     # Each row is filter type 0, then the row's pixels.
     raw = np.zeros((img.height, 1 + 3 * img.width), dtype=np.uint8)
-    copy_pixels(img, raw[:, 1:].reshape(img.pixels.shape))
+    copy_pixels(img, raw[:, 1:].reshape(img.height, img.width, 3))
     out = (
         _SIGNATURE
         + _chunk(b"IHDR", ihdr)
@@ -117,4 +117,4 @@ def _decode_png(data: bytes, path: str | Path) -> RgbImage:
     prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):
         prev = pixels[y] = _unfilter(int(rows[y, 0]), rows[y, 1:], prev, bpp=3)
-    return gray_if_equal(pixels.reshape(height, width, 3))
+    return RgbImage.from_pixels(pixels.reshape(height, width, 3))

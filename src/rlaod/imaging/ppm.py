@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ImageFormatError
-from .color import RgbImage, copy_pixels, gray_if_equal
+from .color import RgbImage, copy_pixels
 
 
 def write_ppm(img: RgbImage, path: str | Path) -> None:
     header = np.frombuffer(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"), np.uint8)
-    data = np.empty(header.size + img.pixels.size, dtype=np.uint8)
+    data = np.empty(header.size + 3 * img.width * img.height, dtype=np.uint8)
     data[: header.size] = header
-    copy_pixels(img, data[header.size :].reshape(img.pixels.shape))
+    copy_pixels(img, data[header.size :].reshape(img.height, img.width, 3))
     Path(path).write_bytes(data)
 
 
@@ -48,4 +48,4 @@ def read_ppm(path: str | Path) -> RgbImage:
     raster = data[pos : pos + expected]
     if len(raster) != expected:
         raise ImageFormatError(f"{path}: truncated raster ({len(raster)} of {expected} bytes)")
-    return gray_if_equal(np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3))
+    return RgbImage.from_pixels(np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3))

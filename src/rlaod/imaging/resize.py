@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..util import round_half_away
-from .color import RgbImage, gray_image, gray_plane, planar_image
+from .color import RgbImage
 
 MIN_SIDE = 8
 MAX_SIDE = 4096
@@ -74,18 +74,17 @@ def scaled_dims(width: int, height: int, factor: float) -> tuple[int, int]:
 def resize_bilinear(img: RgbImage, factor: float) -> RgbImage:
     """Resize an RGB image by a linear factor; deterministic, corner-aligned.
 
-    Each channel plane resamples on its own and the result is planar; a gray
-    view resamples its one plane and returns a gray view. Bilinear weights
-    are per channel, so the bits equal a three-channel resample.
+    Each plane resamples on its own, so a gray image stays one plane.
+    Bilinear weights are per channel, so the bits equal a three-channel
+    resample.
     """
     out_w, out_h = scaled_dims(img.width, img.height, factor)
-    plane = gray_plane(img)
-    planes = [plane] if plane is not None else [img.pixels[..., c] for c in range(3)]
-    out = np.empty((len(planes), out_h, out_w), dtype=np.uint8)
-    for src, dst in zip(planes, out):
-        if (out_w, out_h) == (img.width, img.height):
-            dst[...] = src
-        else:
-            # Interpolated values are nonnegative, so half-up equals half-away.
-            dst[...] = np.minimum(np.floor(resample_bilinear(src, out_h, out_w) + 0.5), 255.0)
-    return gray_image(out[0]) if plane is not None else planar_image(out)
+    if (out_w, out_h) == (img.width, img.height):
+        return RgbImage(img.planes.copy())
+    out = np.empty((len(img.planes), out_h, out_w), dtype=np.uint8)
+    # One call per plane keeps the float64 temporaries one plane in size;
+    # a single call on the stacked planes is faster only on small outputs.
+    for src, dst in zip(img.planes, out):
+        # Interpolated values are nonnegative, so half-up equals half-away.
+        dst[...] = np.minimum(np.floor(resample_bilinear(src, out_h, out_w) + 0.5), 255.0)
+    return RgbImage(out)

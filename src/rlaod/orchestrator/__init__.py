@@ -1,7 +1,6 @@
 """End-to-end orchestration: training, inference, evaluation, CLI."""
 
 from .config import (
-    MODE_ORDER,
     EvalMode,
     RunConfig,
     build_detector,

@@ -87,12 +87,20 @@ def _config_from_args(args) -> RunConfig:
         "seed": args.seed,
         "detector": args.detector,
         "endpoint": args.endpoint,
+        "horizon": getattr(args, "horizon", None),
     }
     return load_config(args.config, overrides)
 
 
+def _scene_count(n: int) -> int:
+    if n < 1:
+        raise ConfigError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def _cmd_gen_data(args, cfg: RunConfig) -> int:
-    manifest = generate_dataset(args.out, cfg.seed, args.n, cfg.scene, cfg.image_format)
+    n = _scene_count(args.n)
+    manifest = generate_dataset(args.out, cfg.seed, n, cfg.scene, cfg.image_format)
     print(manifest)
     return 0
 
@@ -127,10 +135,9 @@ def _cmd_run(args, cfg: RunConfig) -> int:
     else:
         from ..environment import generate_scene
 
-        scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(args.n)]
-    horizon = args.horizon or cfg.horizon
+        scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(_scene_count(args.n))]
     with closing(build_detector(cfg)) as detector:
-        results = run_rl_aod(scenes, bundle, detector, horizon)
+        results = run_rl_aod(scenes, bundle, detector, cfg.horizon)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -49,17 +49,6 @@ class EvalMode(Enum):
         raise ConfigError(f"unknown evaluation mode {name!r}")
 
 
-MODE_ORDER = [
-    EvalMode.FR,
-    EvalMode.B2,
-    EvalMode.BS2,
-    EvalMode.B4,
-    EvalMode.BS4,
-    EvalMode.FR_STAR,
-    EvalMode.BS4_STAR,
-]
-
-
 def desk_scene_params() -> SceneParams:
     """Scene family small enough to train against in minutes: object areas
     sit inside the oracle's full-quality band on clean images."""
@@ -90,6 +79,8 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
+        if self.n_eval_scenes < 1:
+            raise ConfigError(f"n_eval_scenes must be at least 1, got {self.n_eval_scenes}")
         if not 0.0 <= self.degraded_fraction <= 1.0:
             raise ConfigError(f"degraded_fraction {self.degraded_fraction} outside [0, 1]")
         if self.detector not in ("oracle", "external"):

@@ -8,12 +8,13 @@ from pathlib import Path
 from typing import Mapping
 
 from ..errors import ConfigError
-from .config import MODE_ORDER, EvalMode
+from .config import EvalMode
 from .evaluation import ModeResult
 
 METRICS = ["ap", "ap50", "ap75", "ap_s", "ap_m", "ap_l", "mean_p"]
 
-_MODE_RANK = {m.value: i for i, m in enumerate(MODE_ORDER)}
+# Report rows follow EvalMode's declaration order; unknown names go last.
+_MODE_RANK = {m.value: i for i, m in enumerate(EvalMode)}
 
 
 def _emit(mode_rows: dict[str, dict], out_dir: str | Path) -> dict[str, Path]:

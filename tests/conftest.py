@@ -32,7 +32,7 @@ def rendered_image(level, shape, rng):
     base = uniform_ramp_base(shape, rng)
     v = render_brightness(BrightnessModel(level=0.0, base=base), level)
     q = np.floor(v + 0.5).astype(np.uint8)
-    return RgbImage(pixels=np.repeat(q[..., None], 3, axis=2))
+    return RgbImage(q[None])
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

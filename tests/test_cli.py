@@ -243,6 +243,33 @@ class TestExitCodes:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("run", "--n", "1", "--horizon", "-1"), "horizon must be at least 1"),
+            (("run", "--n", "1", "--horizon", "0"), "horizon must be at least 1"),
+            (("run", "--n", "0"), "--n must be at least 1"),
+            (("evaluate", "--modes", "FR", "--n", "-3"), "n_eval_scenes must be at least 1"),
+            (("evaluate", "--modes", "FR", "--n", "0"), "n_eval_scenes must be at least 1"),
+            (("gen-data", "--n", "-2"), "--n must be at least 1"),
+            (("gen-data", "--n", "0"), "--n must be at least 1"),
+        ],
+        ids=["run-horizon-neg", "run-horizon-0", "run-n-0", "evaluate-n-neg", "evaluate-n-0",
+             "gen-data-n-neg", "gen-data-n-0"],
+    )
+    def test_out_of_range_count_is_2(self, tmp_path, tiny_config_file, capsys, args, message):
+        weights = tmp_path / "w"
+        sizes = (STATE_DIM, 8, 2)
+        AgentBundle(init_params(sizes, seed=1), init_params(sizes, seed=2)).save(weights)
+        if args[0] == "run":
+            args += ("--weights", str(weights))
+        out = tmp_path / "o"
+        assert run_cli("--config", tiny_config_file, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_truncated_weight_file_is_5(self, tmp_path, tiny_config_file, capsys):
         weights = tmp_path / "w"
         sizes = (STATE_DIM, 8, 2)

@@ -13,7 +13,6 @@ from rlaod.imaging import (
     hsv_to_rgb,
     hue_weights,
     merge_v_channel,
-    planar_image,
     render_brightness,
     rgb_to_hsv,
     value_channel,
@@ -21,7 +20,7 @@ from rlaod.imaging import (
 
 
 def single_pixel(r, g, b):
-    return RgbImage(pixels=np.array([[[r, g, b]]], dtype=np.uint8))
+    return RgbImage.from_pixels(np.array([[[r, g, b]]], dtype=np.uint8))
 
 
 class TestRgbToHsv:
@@ -48,7 +47,7 @@ class TestRgbToHsv:
 
     def test_v_is_max_channel(self, rng):
         px = rng.integers(0, 256, size=(13, 7, 3), dtype=np.uint8)
-        img = RgbImage(pixels=px)
+        img = RgbImage.from_pixels(px)
         hsv = rgb_to_hsv(img)
         assert np.array_equal(hsv.v, px.max(axis=2).astype(float))
         assert np.array_equal(value_channel(img), hsv.v)
@@ -62,13 +61,13 @@ class TestRgbToHsv:
         planes[2] = ramp[None, :]
         for red in range(256):
             planes[0] = red
-            img = planar_image(planes)
+            img = RgbImage(planes)
             got = rgb_to_hsv(img)
             for name, want in zip("hsv", reference_rgb_to_hsv(img.pixels)):
                 assert same_bits(getattr(got, name), want), (red, name)
 
     def test_ranges(self, rng):
-        hsv = rgb_to_hsv(RgbImage(pixels=rng.integers(0, 256, (20, 20, 3), dtype=np.uint8)))
+        hsv = rgb_to_hsv(RgbImage.from_pixels(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8)))
         assert hsv.h.min() >= 0.0 and hsv.h.max() < 360.0
         assert hsv.s.min() >= 0.0 and hsv.s.max() <= 1.0
         assert hsv.v.min() >= 0.0 and hsv.v.max() <= 255.0
@@ -89,7 +88,7 @@ class TestHsvToRgb:
 
     def test_round_trip_1000_random_pixels(self, rng):
         px = rng.integers(0, 256, size=(20, 50, 3), dtype=np.uint8)
-        img = RgbImage(pixels=px)
+        img = RgbImage.from_pixels(px)
         back = hsv_to_rgb(rgb_to_hsv(img))
         assert np.array_equal(back.pixels, px)
 
@@ -141,8 +140,45 @@ class TestHueWeights:
             assert same_bits(got[..., i], want), i
 
 
+class TestRgbImage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        data=st.data(),
+    )
+    def test_from_pixels(self, shape, data):
+        h, w = shape
+        gray = data.draw(st.booleans())
+        n = h * w * (1 if gray else 3)
+        raw = np.frombuffer(data.draw(st.binary(min_size=n, max_size=n)), dtype=np.uint8)
+        if gray:
+            px = np.repeat(raw.reshape(h, w, 1), 3, axis=2)
+        else:
+            px = raw.reshape(h, w, 3).copy()
+        img = RgbImage.from_pixels(px)
+        assert same_bits(img.pixels, px)
+        equal = np.array_equal(px[..., 0], px[..., 1]) and np.array_equal(px[..., 0], px[..., 2])
+        assert (len(img.planes) == 1) == equal
+        assert not np.shares_memory(img.planes, px)
+
+    @pytest.mark.parametrize(
+        "planes",
+        [np.zeros((2, 4, 4), dtype=np.uint8), np.zeros((3, 4, 4), dtype=np.float64),
+         np.zeros((1, 4, 4), dtype=np.int16), np.zeros((3, 0, 4), dtype=np.uint8),
+         np.zeros((1, 4, 0), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8)],
+        ids=["2-planes", "float", "int16", "no-rows", "no-columns", "2d"],
+    )
+    def test_rejects_planes(self, planes):
+        with pytest.raises(ValueError):
+            RgbImage(planes)
+
+
 def test_rgb_image_validation():
-    with pytest.raises(ValueError):
-        RgbImage(pixels=np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        RgbImage(pixels=np.zeros((4, 4, 3), dtype=np.float64))
+    for pixels in (
+        np.zeros((4, 4), dtype=np.uint8),
+        np.zeros((4, 4, 3), dtype=np.float64),
+        np.zeros((4, 4, 4), dtype=np.uint8),
+        np.zeros((0, 4, 3), dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError):
+            RgbImage.from_pixels(pixels)

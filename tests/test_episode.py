@@ -176,23 +176,24 @@ class TestStep:
             assert cur.box.area == pytest.approx(orig.box.area * f * f, rel=1e-6)
 
     def test_gray_fast_path_matches_rgb_path(self, detector):
-        # The single-channel rebuild used for grayscale scenes must be
-        # bit-identical to the general RGB rebuild.
-        from dataclasses import replace
-
+        # The single-plane rebuild used for gray scenes must be bit-identical
+        # to the general RGB rebuild, which a three-plane original takes.
         actions = [
             (AttributeAction.BRIGHTEN, AttributeAction.ZOOM_IN),
             (AttributeAction.DARKEN, AttributeAction.ZOOM_OUT),
             (AttributeAction.DARKEN, AttributeAction.ZOOM_OUT),
         ]
         fast = clean_episode(seed=55, detector=detector)
-        slow = replace(fast, grayscale=False)
-        assert fast.grayscale
+        planes = fast.original.image.planes
+        assert len(planes) == 1
+        three = RgbImage(np.repeat(planes, 3, axis=0))
+        slow = replace(fast, original=replace(fast.original, image=three))
         for a_b, a_s in actions:
             fast, _, _, _ = step_episode(fast, a_b, a_s)
             slow, _, _, _ = step_episode(slow, a_b, a_s)
             assert np.array_equal(fast.current_image.pixels, slow.current_image.pixels)
             assert fast.last_p == slow.last_p
+        assert fast.hsv0 is None and slow.hsv0 is not None
 
     def test_tinted_render_matches_per_call_formula(self, detector):
         # Hue weights are computed once per episode, on the first RGB render;
@@ -202,14 +203,14 @@ class TestStep:
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 6)
-        assert not ep.grayscale and ep.hue_weights is None
+        assert len(scene.image.planes) == 3 and ep.hue_weights is None
         B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
         zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
         for a_b, a_s in [(None, zo), (B, zi), (B, None), (None, zi), (D, zo), (B, zo)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
             assert ep.hue_weights is not None
             v = render_brightness(ep.brightness, ep.brightness.level)
-            rgb = RgbImage(pixels=per_call_hsv_to_rgb(ep.hsv0.h, ep.hsv0.s, v))
+            rgb = RgbImage.from_pixels(per_call_hsv_to_rgb(ep.hsv0.h, ep.hsv0.s, v))
             want = resize_bilinear(rgb, ep.cumulative_scale_factor)
             assert np.array_equal(ep.current_image.pixels, want.pixels)
 
@@ -243,7 +244,7 @@ class TestResetSkipsHsv:
     def test_gray_episode(self, detector, conversions):
         scene = degrade(generate_scene(13, PARAMS), DegradeOp(DegradeKind.OVER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 4)
-        assert ep.grayscale and ep.hsv0 is None
+        assert len(scene.image.planes) == 1 and ep.hsv0 is None
         assert conversions == []
         for a_b, a_s in [(self.B, self.ZI), (self.D, None), (None, self.ZO), (self.D, self.ZO)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
@@ -252,7 +253,7 @@ class TestResetSkipsHsv:
     def test_tinted_reset(self, detector, conversions):
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         ep = reset_episode(scene, detector, 4)
-        assert not ep.grayscale and ep.hsv0 is None
+        assert len(scene.image.planes) == 3 and ep.hsv0 is None
         assert conversions == []
 
     def test_tinted_episode_converts_once(self, detector, conversions):

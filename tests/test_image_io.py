@@ -9,7 +9,7 @@ from rlaod.imaging.png import read_png, write_png
 
 @pytest.fixture
 def image(rng):
-    return RgbImage(pixels=rng.integers(0, 256, (13, 9, 3), dtype=np.uint8))
+    return RgbImage.from_pixels(rng.integers(0, 256, (13, 9, 3), dtype=np.uint8))
 
 
 class TestPpm:

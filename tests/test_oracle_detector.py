@@ -94,9 +94,7 @@ class TestOracleDetect:
         ps = []
         for lv in levels:
             vv = render_brightness(model, lv)
-            img = RgbImage(
-                pixels=np.repeat(np.floor(vv + 0.5).astype(np.uint8)[..., None], 3, axis=2)
-            )
+            img = RgbImage(np.floor(vv + 0.5).astype(np.uint8)[None])
             out = det.detect(img, scene.truths, scene.seed)
             ps.append(performance_score(out.detections, scene.truths))
         ps = np.array(ps)

@@ -26,7 +26,7 @@ from rlaod.orchestrator import load_dataset
 def workdir(tmp_path_factory):
     """A directory holding one good and one corrupt image of each format."""
     d = tmp_path_factory.mktemp("fuzz")
-    image = RgbImage(pixels=np.random.default_rng(0).integers(0, 256, (5, 4, 3), dtype=np.uint8))
+    image = RgbImage.from_pixels(np.random.default_rng(0).integers(0, 256, (5, 4, 3), dtype=np.uint8))
     write_ppm(image, d / "ok.ppm")
     write_png(image, d / "ok.png")
     (d / "bad.ppm").write_bytes((d / "ok.ppm").read_bytes()[:-9])

@@ -1,8 +1,9 @@
 """Colour images stored as three uint8 planes viewed as (h, w, 3).
 
-Every consumer must give the same bits for a planar image, a full
-interleaved array and, when the channels are equal, a gray view of the
-same frame; and every colour image the package makes is planar.
+Every consumer must give the same bits for contiguous planes, planes
+strided through an interleaved (h, w, 3) array and, when the channels are
+equal, a one-plane gray image of the same frame; and every colour image the
+package makes has three contiguous planes.
 """
 
 from dataclasses import replace
@@ -12,12 +13,9 @@ import pytest
 
 from conftest import same_bits
 from rlaod.environment import SceneParams, generate_scene
-from rlaod.environment.episode import _is_gray
 from rlaod.imaging import (
     RgbImage,
-    gray_image,
     hsv_to_rgb,
-    planar_image,
     read_ppm,
     resize_bilinear,
     rgb_to_hsv,
@@ -28,21 +26,21 @@ from rlaod.imaging.png import read_png, write_png
 
 
 def forms(pixels: np.ndarray) -> dict[str, RgbImage]:
-    """The interleaved and planar forms of (h, w, 3) uint8 pixels, plus the
-    gray view when all three channels are equal."""
+    """Three-plane forms of (h, w, 3) uint8 pixels, one a contiguous copy and
+    one viewing the planes of an interleaved copy, plus the one-plane gray
+    image when all three channels are equal."""
     out = {
-        "interleaved": RgbImage(pixels=np.ascontiguousarray(pixels)),
-        "planar": planar_image(np.moveaxis(pixels, -1, 0).copy()),
+        "interleaved": RgbImage(np.moveaxis(pixels.copy(), -1, 0)),
+        "planar": RgbImage(np.moveaxis(pixels, -1, 0).copy()),
     }
     r = pixels[..., 0]
     if np.array_equal(r, pixels[..., 1]) and np.array_equal(r, pixels[..., 2]):
-        out["gray"] = gray_image(r.copy())
+        out["gray"] = RgbImage(r[None].copy())
     return out
 
 
 def is_planar(img: RgbImage) -> bool:
-    p = img.pixels
-    return p.strides[2] != 0 and np.moveaxis(p, -1, 0).flags.c_contiguous
+    return len(img.planes) == 3 and img.planes.flags.c_contiguous
 
 
 @pytest.fixture(params=["colour", "gray"])
@@ -86,23 +84,18 @@ class TestFormsAgree:
             written[k] = (tmp_path / k).read_bytes()
         assert_all_equal(written, equal=bytes.__eq__)
 
-    def test_is_gray(self, pixels):
-        found = {k: _is_gray(img) for k, img in forms(pixels).items()}
-        assert_all_equal(found, equal=bool.__eq__)
-        assert found["planar"] == ("gray" in found)
-
 
 class TestProducersArePlanar:
     def test_planar_image_is_a_writable_view(self, rng):
         planes = rng.integers(0, 256, (3, 5, 4), dtype=np.uint8)
-        img = planar_image(planes)
+        img = RgbImage(planes)
         assert img.pixels.shape == (5, 4, 3) and img.pixels.flags.writeable
         assert np.shares_memory(img.pixels, planes) and is_planar(img)
         for c in range(3):
             assert np.array_equal(img.pixels[..., c], planes[c])
 
     def test_hsv_to_rgb(self, rng):
-        hsv = rgb_to_hsv(RgbImage(pixels=rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)))
+        hsv = rgb_to_hsv(RgbImage.from_pixels(rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)))
         assert is_planar(hsv_to_rgb(hsv))
 
     @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
@@ -118,7 +111,7 @@ class TestProducersArePlanar:
     @pytest.mark.parametrize("write, read", [(write_ppm, read_ppm), (write_png, read_png)])
     def test_colour_file(self, rng, tmp_path, write, read):
         pixels = rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)
-        write(RgbImage(pixels=pixels), tmp_path / "c")
+        write(RgbImage.from_pixels(pixels), tmp_path / "c")
         back = read(tmp_path / "c")
         assert is_planar(back)
         assert np.array_equal(back.pixels, pixels)

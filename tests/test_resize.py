@@ -5,8 +5,6 @@ from rlaod.imaging import (
     MAX_SIDE,
     MIN_SIDE,
     RgbImage,
-    gray_image,
-    planar_image,
     resample_bilinear,
     resize_bilinear,
     scaled_dims,
@@ -140,10 +138,11 @@ def rounded_separable(pixels, factor):
 
 
 def layouts(pixels):
-    """The interleaved and planar forms of the same (h, w, 3) pixels."""
+    """Three planes of the same (h, w, 3) pixels: viewed through an
+    interleaved copy, and as a contiguous copy."""
     return {
-        "interleaved": RgbImage(pixels=np.ascontiguousarray(pixels)),
-        "planar": planar_image(np.moveaxis(pixels, -1, 0).copy()),
+        "interleaved": RgbImage(np.moveaxis(pixels.copy(), -1, 0)),
+        "planar": RgbImage(np.moveaxis(pixels, -1, 0).copy()),
     }
 
 
@@ -164,26 +163,26 @@ class TestResizeBits:
 
     def test_strided_source(self, rng):
         pixels = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)[::2, 1::3]
-        got = resize_bilinear(RgbImage(pixels=pixels), 1.3).pixels
+        got = resize_bilinear(RgbImage(np.moveaxis(pixels, -1, 0)), 1.3).pixels
         assert np.array_equal(got, rounded_separable(pixels, 1.3))
 
     def test_rgb_channels_equal_gray_resample(self, rng):
         # The gray episode path resamples one plane and views it three times.
         v = rng.integers(0, 256, (33, 47), dtype=np.uint8)
-        rgb = RgbImage(pixels=np.repeat(v[..., None], 3, axis=2))
+        rgb = RgbImage(np.repeat(v[None], 3, axis=0))
         got = resize_bilinear(rgb, 1.4).pixels
         for c in range(3):
-            assert np.array_equal(got[..., c], resize_bilinear(gray_image(v), 1.4).pixels[..., 0])
+            assert np.array_equal(got[..., c], resize_bilinear(RgbImage(v[None]), 1.4).planes[0])
 
 
 class TestResizeBilinear:
     def test_identity_factor(self, rng):
-        img = RgbImage(pixels=rng.integers(0, 256, (12, 10, 3), dtype=np.uint8))
+        img = RgbImage.from_pixels(rng.integers(0, 256, (12, 10, 3), dtype=np.uint8))
         out = resize_bilinear(img, 1.0)
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_constant_image_any_factor(self):
-        img = RgbImage(pixels=np.full((16, 16, 3), 99, dtype=np.uint8))
+        img = RgbImage.from_pixels(np.full((16, 16, 3), 99, dtype=np.uint8))
         for factor in (0.5, 1.7, 3.0):
             out = resize_bilinear(img, factor)
             assert np.all(out.pixels == 99)
@@ -201,14 +200,14 @@ class TestResizeBilinear:
             scaled_dims(10, 10, -1.0)
 
     def test_deterministic(self, rng):
-        img = RgbImage(pixels=rng.integers(0, 256, (20, 20, 3), dtype=np.uint8))
+        img = RgbImage.from_pixels(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8))
         a = resize_bilinear(img, 1.3)
         b = resize_bilinear(img, 1.3)
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_gray_image_resize_keeps_channels_equal(self, rng):
         v = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        img = RgbImage(pixels=np.repeat(v[..., None], 3, axis=2))
+        img = RgbImage(np.repeat(v[None], 3, axis=0))
         out = resize_bilinear(img, 0.75)
         assert np.array_equal(out.pixels[..., 0], out.pixels[..., 1])
         assert np.array_equal(out.pixels[..., 1], out.pixels[..., 2])

@@ -125,7 +125,7 @@ def test_parse_accepts_only_finite_areas(bbox):
 @pytest.fixture(scope="module")
 def image_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("vstats")
-    write_ppm(RgbImage(pixels=np.zeros((4, 5, 3), dtype=np.uint8)), d / "ok.ppm")
+    write_ppm(RgbImage.from_pixels(np.zeros((4, 5, 3), dtype=np.uint8)), d / "ok.ppm")
     return d
 
 
