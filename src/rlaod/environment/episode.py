@@ -18,7 +18,6 @@ from ..imaging import (
     BrightnessModel,
     HsvImage,
     RgbImage,
-    ScaleModel,
     estimate_brightness_level,
     estimate_scale_level,
     fit_brightness_base,
@@ -36,7 +35,7 @@ from ..imaging import (
     update_scale_level,
     value_channel,
 )
-from ..metrics import GroundTruthBox, performance_score, reward
+from ..metrics import performance_score, reward
 from .detector import DetectorOutput
 from .scene import Scene, resized_truths
 
@@ -45,24 +44,27 @@ from .scene import Scene, resized_truths
 class EpisodeState:
     original: Scene
     detector: object
-    brightness: BrightnessModel  # level tracks the current L^b
-    scale: ScaleModel  # level tracks the current L^s
+    brightness: BrightnessModel  # base fitted at reset; renders every level
+    level_b: float  # current L^b
+    level_s: float  # current L^s
     initial_scale_level: float
-    cumulative_scale_factor: float
     step: int
     horizon: int
     current_image: RgbImage
     current_v: np.ndarray  # uint8 V plane of current_image
-    current_truths: list[GroundTruthBox]
     last_output: DetectorOutput
     last_p: float
-    # Cache of the last brightness render (scale-only steps reuse it).
-    rendered_frame: RgbImage | None = None
-    rendered_level_b: float | None = None
+    # The brightness render at level_b, once a step made one; steps that
+    # leave level_b unchanged reuse it.
+    frame: RgbImage | None = None
     # HSV of the original image and hue_weights(hsv0.h), both computed on
     # the first RGB render of the episode; gray episodes never need them.
     hsv0: HsvImage | None = None
     hue_weights: np.ndarray | None = None
+
+    @property
+    def cumulative_scale_factor(self) -> float:
+        return scale_factor_for_step(self.initial_scale_level, self.level_s)
 
 
 def detection_mean_area(
@@ -75,7 +77,7 @@ def detection_mean_area(
 
 
 def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
-    """Run the detector once and fit the episode's attribute models."""
+    """Run the detector once, fit the brightness base and read both levels."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     v = value_channel(scene.image)
@@ -90,14 +92,13 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         original=scene,
         detector=detector,
         brightness=brightness,
-        scale=ScaleModel(level=level_s),
+        level_b=brightness.level,
+        level_s=level_s,
         initial_scale_level=level_s,
-        cumulative_scale_factor=1.0,
         step=0,
         horizon=horizon,
         current_image=scene.image,
         current_v=v,
-        current_truths=list(scene.truths),
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
     )
@@ -120,21 +121,19 @@ def step_episode(
     if action_b is None and action_s is None:
         raise ValueError("at least one action must be provided")
 
-    level_b = state.brightness.level
+    level_b = state.level_b
     if action_b is not None:
         level_b = update_brightness_level(level_b, action_b)
-    level_s = state.scale.level
+    level_s = state.level_s
     if action_s is not None:
         level_s = update_scale_level(level_s, action_s)
-
-    theta = state.scale.theta
-    cumulative = scale_factor_for_step(state.initial_scale_level, level_s, theta)
+    cumulative = scale_factor_for_step(state.initial_scale_level, level_s)
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
     hsv0, weights = state.hsv0, state.hue_weights
-    if state.rendered_level_b == level_b:
-        frame = state.rendered_frame
+    if state.frame is not None and level_b == state.level_b:
+        frame = state.frame
     else:
         v = render_brightness(state.brightness, level_b)
         if len(scene.image.planes) == 1:
@@ -155,17 +154,14 @@ def step_episode(
 
     new_state = replace(
         state,
-        brightness=state.brightness.with_level(level_b),
-        scale=ScaleModel(level=level_s, theta=theta, alpha0=state.scale.alpha0),
-        cumulative_scale_factor=cumulative,
+        level_b=level_b,
+        level_s=level_s,
         step=state.step + 1,
         current_image=image,
         current_v=current_v,
-        current_truths=truths,
         last_output=output,
         last_p=p_next,
-        rendered_frame=frame,
-        rendered_level_b=level_b,
+        frame=frame,
         hsv0=hsv0,
         hue_weights=weights,
     )

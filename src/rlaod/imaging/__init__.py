@@ -28,9 +28,8 @@ from .resize import (
     scaled_dims,
 )
 from .scale import (
-    DEFAULT_ALPHA0,
-    DEFAULT_THETA,
-    ScaleModel,
+    ALPHA0,
+    THETA,
     estimate_scale_level,
     scale_factor_for_step,
     update_scale_level,

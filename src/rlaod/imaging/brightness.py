@@ -31,7 +31,7 @@ _QUANTILE_DIVISOR = 5.5
 
 @dataclass(frozen=True)
 class BrightnessModel:
-    """Current brightness level plus the fixed base matrix it renders from.
+    """A fitted base matrix and the level it was fitted at.
 
     The base is produced by fit_brightness_base and is guaranteed to lie
     in [0, 255]; only the level is revalidated on construction.
@@ -43,9 +43,6 @@ class BrightnessModel:
     def __post_init__(self):
         if not -1.0 <= self.level <= 1.0:
             raise ValueError(f"level {self.level} outside [-1, 1]")
-
-    def with_level(self, level: float) -> "BrightnessModel":
-        return BrightnessModel(level=level, base=self.base)
 
 
 def interpolated_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:

@@ -1,53 +1,33 @@
 """Scale level algebra.
 
 The scale level encodes the mean object area of an image relative to a
-prior area alpha0 under logarithm base theta:
+prior area ALPHA0 under logarithm base THETA:
 
-    level = 0.5 * log_theta(mean_area / alpha0), clamped to [-1, 1]
+    level = 0.5 * log_THETA(mean_area / ALPHA0), clamped to [-1, 1]
 
 Changing the level by delta corresponds to resizing the image linearly by
-theta ** delta, which multiplies areas by theta ** (2 * delta) and shifts
+THETA ** delta, which multiplies areas by THETA ** (2 * delta) and shifts
 the level estimate by exactly delta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import ContractViolation
 from .actions import AttributeAction
 
-DEFAULT_THETA = 8.0
-DEFAULT_ALPHA0 = 96.0**2
+THETA = 8.0
+ALPHA0 = 96.0**2
 
 
-@dataclass(frozen=True)
-class ScaleModel:
-    level: float
-    theta: float = DEFAULT_THETA
-    alpha0: float = DEFAULT_ALPHA0
-
-    def __post_init__(self):
-        if not -1.0 <= self.level <= 1.0:
-            raise ValueError(f"level {self.level} outside [-1, 1]")
-        if self.theta <= 1.0:
-            raise ValueError("theta must exceed 1")
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
-
-
-def estimate_scale_level(
-    mean_area: float | None,
-    theta: float = DEFAULT_THETA,
-    alpha0: float = DEFAULT_ALPHA0,
-) -> float:
+def estimate_scale_level(mean_area: float | None) -> float:
     """Scale level for a mean object area; None (no detections) maps to 0."""
     if mean_area is None:
         return 0.0
     if mean_area <= 0.0:
         raise ValueError(f"mean_area must be positive, got {mean_area}")
-    level = 0.5 * math.log(mean_area / alpha0, theta)
+    level = 0.5 * math.log(mean_area / ALPHA0, THETA)
     return float(min(1.0, max(-1.0, level)))
 
 
@@ -62,11 +42,9 @@ def update_scale_level(level: float, action: AttributeAction) -> float:
     raise ContractViolation(f"{action} is not a scale action")
 
 
-def scale_factor_for_step(
-    level_before: float, level_after: float, theta: float = DEFAULT_THETA
-) -> float:
+def scale_factor_for_step(level_before: float, level_after: float) -> float:
     """Linear resize factor that shifts the area-based level by exactly the delta."""
     for name, lv in (("level_before", level_before), ("level_after", level_after)):
         if not -1.0 <= lv <= 1.0:
             raise ValueError(f"{name} {lv} outside [-1, 1]")
-    return float(theta ** (level_after - level_before))
+    return float(THETA ** (level_after - level_before))

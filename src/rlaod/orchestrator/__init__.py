@@ -16,7 +16,6 @@ from .pipeline import (
     agent_state,
     map_detections_back,
     run_episode,
-    run_rl_aod,
 )
 from .report import METRICS, emit_payload, emit_report, load_report
 from .training import train_agent, train_agents

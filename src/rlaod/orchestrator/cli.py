@@ -37,7 +37,7 @@ from ..imaging.png import write_png
 from .config import EvalMode, RunConfig, build_detector, load_config
 from .dataset import generate_dataset, load_dataset, write_dataset
 from .evaluation import degradation_variants, evaluate_modes
-from .pipeline import AgentBundle, run_rl_aod
+from .pipeline import AgentBundle, run_episode
 from .report import emit_payload, emit_report, load_report
 from .training import train_agent, train_agents
 
@@ -137,7 +137,7 @@ def _cmd_run(args, cfg: RunConfig) -> int:
 
         scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(_scene_count(args.n))]
     with closing(build_detector(cfg)) as detector:
-        results = run_rl_aod(scenes, bundle, detector, cfg.horizon)
+        results = [run_episode(scene, bundle, detector, cfg.horizon) for scene in scenes]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,9 @@ from ..metrics import Box2D, GroundTruthBox, finite_extent
 from ..util import finite_floats
 
 MANIFEST_NAME = "manifest.json"
+# An image id is its scene's seed: numpy streams take no negative seed, and
+# the oracle hashes seeds as 64-bit words, so larger ids would alias.
+ID_LIMIT = 2**64
 
 
 def _manifest_dict(scenes: Sequence[Scene], files: Sequence[str]) -> dict:
@@ -87,8 +90,8 @@ def _field(entry, key: str, where: str):
 
 
 def _integer(value, what: str, where: str) -> int:
-    """A manifest number as an int; ConfigError for a str, bool, NaN or inf."""
-    if finite_floats([value]) is None:
+    """A manifest number as an int; ConfigError for a str, bool, NaN, inf or fraction."""
+    if finite_floats([value]) is None or value != int(value):
         raise ConfigError(f"{where}: bad {what} {value!r}")
     return int(value)
 
@@ -113,9 +116,10 @@ def _truth(ann, where: str) -> GroundTruthBox:
 def load_dataset(manifest_path: str | Path) -> list[Scene]:
     """Read a manifest back into Scene values (nominal stats recomputed).
 
-    A manifest that cannot be read, or whose entries lack a key or hold a
-    bad box, raises ConfigError; an image that cannot be read raises
-    ImageFormatError.
+    A manifest that cannot be read, or whose entries lack a key, hold a bad
+    box, repeat an image id, give one outside [0, 2**64) or annotate an
+    image it does not list, raises ConfigError; an image that cannot be
+    read raises ImageFormatError.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -130,16 +134,26 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
         if not isinstance(data.get(key, []), list):
             raise ConfigError(f"manifest {manifest_path}: {key!r} must be a list")
 
-    by_image: dict[int, list[GroundTruthBox]] = {}
+    images = data.get("images", [])
+    by_image: dict[int, list[GroundTruthBox]] = {}  # in image order
+    for i, entry in enumerate(images):
+        where = f"{manifest_path}: image {i}"
+        image_id = _integer(_field(entry, "id", where), "id", where)
+        if not 0 <= image_id < ID_LIMIT:
+            raise ConfigError(f"{where}: id {image_id} is outside [0, 2**64)")
+        if image_id in by_image:
+            raise ConfigError(f"{where}: duplicate id {image_id}")
+        by_image[image_id] = []
     for i, ann in enumerate(data.get("annotations", [])):
         where = f"{manifest_path}: annotation {i}"
         image_id = _integer(_field(ann, "image_id", where), "image_id", where)
-        by_image.setdefault(image_id, []).append(_truth(ann, where))
+        if image_id not in by_image:
+            raise ConfigError(f"{where}: image_id {image_id} names no image")
+        by_image[image_id].append(_truth(ann, where))
 
     scenes = []
-    for i, entry in enumerate(data.get("images", [])):
+    for i, (entry, (image_id, truths)) in enumerate(zip(images, by_image.items())):
         where = f"{manifest_path}: image {i}"
-        image_id = _integer(_field(entry, "id", where), "id", where)
         name = _field(entry, "file", where)
         if not isinstance(name, str) or "\x00" in name:  # open() raises ValueError on NUL
             raise ConfigError(f"{where}: file {name!r} is not a file name")
@@ -148,7 +162,6 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
             image = read_png(path) if path.suffix == ".png" else read_ppm(path)
         except OSError as exc:
             raise ImageFormatError(f"cannot read image {path}: {exc}") from exc
-        truths = by_image.get(image_id, [])
         mean_area = (
             float(sum(t.box.area for t in truths) / len(truths)) if truths else 0.0
         )

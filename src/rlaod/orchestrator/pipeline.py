@@ -167,8 +167,8 @@ def run_episode(
                 step=ep.step,
                 action_b=a_b.value if a_b else None,
                 action_s=a_s.value if a_s else None,
-                level_b=ep.brightness.level,
-                level_s=ep.scale.level,
+                level_b=ep.level_b,
+                level_s=ep.level_s,
                 p=ep.last_p,
                 detections=list(ep.last_output.detections),
             )
@@ -188,10 +188,3 @@ def run_episode(
         cumulative_scale_factor=ep.cumulative_scale_factor,
         trajectory=trajectory,
     )
-
-
-def run_rl_aod(
-    scenes: Sequence[Scene], bundle: AgentBundle, detector, horizon: int
-) -> list[EpisodeResult]:
-    """Adjust every image with both agents acting greedily for `horizon` steps."""
-    return [run_episode(scene, bundle, detector, horizon) for scene in scenes]

@@ -353,6 +353,9 @@ class TestExitCodes:
             (lambda m: m["images"][0].pop("file"), "has no 'file'"),
             (lambda m: m["annotations"][0].update(bbox=[1.0, 2.0, 3.0]), "not 4 finite numbers"),
             (lambda m: m["annotations"][0].update(bbox=[1e308, 0.0, 1e308, 1.0]), "infinite extent"),
+            (lambda m: m["images"][1].update(id=m["images"][0]["id"]), "image 1: duplicate id"),
+            (lambda m: m["images"][0].update(id=0.5), "image 0: bad id 0.5"),
+            (lambda m: m["annotations"][0].update(image_id=99), "image_id 99 names no image"),
         ],
     )
     def test_bad_manifest_content_is_2(self, tmp_path, tiny_config_file, capsys, edit, message):

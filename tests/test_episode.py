@@ -19,6 +19,7 @@ from rlaod.environment import detector as detector_module
 from rlaod.environment import episode as episode_module
 from rlaod.errors import ContractViolation
 from rlaod.imaging import (
+    THETA,
     AttributeAction,
     RgbImage,
     estimate_scale_level,
@@ -42,12 +43,12 @@ def clean_episode(seed=21, horizon=4, detector=None):
 class TestReset:
     def test_clean_scene_levels(self, detector):
         ep = clean_episode(detector=detector)
-        assert abs(ep.brightness.level) <= 0.15
+        assert abs(ep.level_b) <= 0.15
         mean_area = detection_mean_area(ep.last_output)
-        assert ep.scale.level == pytest.approx(estimate_scale_level(mean_area))
+        assert ep.level_s == pytest.approx(estimate_scale_level(mean_area))
         # On a clean scene detections coincide with the truths, so the scale
         # level matches the nominal mean object area.
-        assert ep.scale.level == pytest.approx(
+        assert ep.level_s == pytest.approx(
             estimate_scale_level(ep.original.nominal_mean_area), abs=1e-6
         )
         assert ep.cumulative_scale_factor == 1.0
@@ -63,7 +64,7 @@ class TestReset:
         dark_scene = replace(scene, image=dark)
         ep = reset_episode(dark_scene, detector, 4)
         assert ep.last_output.detections == []
-        assert ep.scale.level == 0.0
+        assert ep.level_s == 0.0
 
     def test_p_recorded(self, detector):
         scene = generate_scene(8, PARAMS)
@@ -96,7 +97,7 @@ class TestReset:
         monkeypatch.setattr(detector_module, "estimate_brightness_level", counting)
         got = reset_episode(scene, detector, 4)
         assert len(calls) == 1
-        assert got.brightness.level == want.brightness.level
+        assert got.level_b == want.level_b
         assert got.last_output.detections == want.last_output.detections
         assert got.last_output.context.tobytes() == want.last_output.context.tobytes()
 
@@ -105,7 +106,7 @@ class TestStep:
     def test_restoring_underexposed_scene_rewards(self, detector):
         scene = degrade(generate_scene(3, PARAMS), DegradeOp(DegradeKind.UNDER_EXPOSE, 0.6))
         ep = reset_episode(scene, detector, 8)
-        assert ep.brightness.level == pytest.approx(-0.6, abs=0.05)
+        assert ep.level_b == pytest.approx(-0.6, abs=0.05)
         rewards = []
         for _ in range(6):
             ep, r_b, r_s, _ = step_episode(ep, AttributeAction.BRIGHTEN, None)
@@ -125,7 +126,7 @@ class TestStep:
         scene = generate_scene(3, PARAMS)
         bright = rendered_image(1.0, (96, 96), rng)
         ep = reset_episode(replace(scene, image=bright), detector, 2)
-        assert ep.brightness.level >= 0.98  # estimate 1.0, clamped for the fit
+        assert ep.level_b >= 0.98  # estimate 1.0, clamped for the fit
         before = ep.last_p
         ep, r_b, _, _ = step_episode(ep, AttributeAction.BRIGHTEN, None)
         assert np.array_equal(ep.current_image.pixels, bright.pixels)
@@ -146,11 +147,10 @@ class TestStep:
 
     def test_cumulative_factor_invariant(self, detector):
         ep = clean_episode(horizon=6, detector=detector)
-        theta = ep.scale.theta
         for i in range(6):
             action = AttributeAction.ZOOM_IN if i % 2 else AttributeAction.ZOOM_OUT
             ep, _, _, _ = step_episode(ep, None, action)
-            expected = theta ** (ep.scale.level - ep.initial_scale_level)
+            expected = THETA ** (ep.level_s - ep.initial_scale_level)
             assert ep.cumulative_scale_factor == pytest.approx(expected, rel=1e-9)
 
     def test_determinism(self, detector):
@@ -167,13 +167,47 @@ class TestStep:
         assert np.array_equal(trajectories[0][1], trajectories[1][1])
 
     def test_truth_scaling_consistency(self, detector):
-        ep = clean_episode(horizon=4, detector=detector)
+        # The detector scores each frame against the truths scaled by the
+        # episode's cumulative factor.
+        seen = []
+
+        class SpyDetector:
+            def detect(self, image, truths, seed, **kw):
+                seen.append(truths)
+                return detector.detect(image, truths, seed, **kw)
+
+        ep = clean_episode(horizon=4, detector=SpyDetector())
         scene = ep.original
         for _ in range(4):
             ep, _, _, _ = step_episode(ep, None, AttributeAction.ZOOM_OUT)
         f = ep.cumulative_scale_factor
-        for orig, cur in zip(scene.truths, ep.current_truths):
+        assert f < 1.0 and len(seen) == 5
+        assert len(seen[-1]) == len(scene.truths) > 0
+        for orig, cur in zip(scene.truths, seen[-1]):
             assert cur.box.area == pytest.approx(orig.box.area * f * f, rel=1e-6)
+
+    @pytest.mark.parametrize("tint", [0.0, 0.25])
+    def test_renders_only_when_level_b_changes(self, detector, monkeypatch, tint):
+        # A step renders brightness only when L^b moved; scale-only steps
+        # resize the cached frame.
+        renders = []
+        render = episode_module.render_brightness
+
+        def counting(*args):
+            renders.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(episode_module, "render_brightness", counting)
+        scene = generate_scene(9, replace(PARAMS, tint_strength=tint))
+        ep = reset_episode(scene, detector, 6)
+        B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
+        zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
+        per_step = []
+        for a_b, a_s in [(None, zi), (None, zo), (B, None), (None, zi), (D, zi), (None, zo)]:
+            before = len(renders)
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+            per_step.append(len(renders) - before)
+        assert per_step == [1, 0, 1, 0, 1, 0]
 
     def test_gray_fast_path_matches_rgb_path(self, detector):
         # The single-plane rebuild used for gray scenes must be bit-identical
@@ -209,7 +243,7 @@ class TestStep:
         for a_b, a_s in [(None, zo), (B, zi), (B, None), (None, zi), (D, zo), (B, zo)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
             assert ep.hue_weights is not None
-            v = render_brightness(ep.brightness, ep.brightness.level)
+            v = render_brightness(ep.brightness, ep.level_b)
             rgb = RgbImage.from_pixels(per_call_hsv_to_rgb(ep.hsv0.h, ep.hsv0.s, v))
             want = resize_bilinear(rgb, ep.cumulative_scale_factor)
             assert np.array_equal(ep.current_image.pixels, want.pixels)
@@ -274,7 +308,7 @@ class TestTowardNominalPolicy:
     def toward_nominal_actions(ep):
         a_b = (
             AttributeAction.BRIGHTEN
-            if ep.brightness.level < ep.original.nominal_level_b
+            if ep.level_b < ep.original.nominal_level_b
             else AttributeAction.DARKEN
         )
         target_s = estimate_scale_level(

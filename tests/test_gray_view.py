@@ -211,7 +211,7 @@ class TestGrayEpisodeMatchesFullReference:
         identity_steps = 0
         for a_b, a_s in self.STEPS:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
-            v = render_brightness(ep.brightness, ep.brightness.level)
+            v = render_brightness(ep.brightness, ep.level_b)
             frame = three_planes(per_call_hsv_to_rgb(0.0, 0.0, v))
             want = resize_bilinear(frame, ep.cumulative_scale_factor)
             assert np.array_equal(ep.current_image.pixels, want.pixels)

@@ -19,7 +19,6 @@ from rlaod.orchestrator import (
     load_config,
     load_dataset,
     run_episode,
-    run_rl_aod,
     train_agent,
     train_agents,
 )
@@ -139,11 +138,11 @@ class TestPipeline:
                 s.to_dict() for s in long.trajectory[:2]
             ]
 
-    def test_run_rl_aod_over_scenes(self, tiny_bundle):
+    def test_run_episode_over_scenes(self, tiny_bundle):
         bundle, cfg = tiny_bundle
         det = OracleDetector(cfg.calibration)
         scenes = [generate_scene(910 + i, cfg.scene) for i in range(3)]
-        results = run_rl_aod(scenes, bundle, det, horizon=2)
+        results = [run_episode(scene, bundle, det, horizon=2) for scene in scenes]
         assert len(results) == 3
         for r in results:
             assert r.final_image.width >= 8
@@ -253,6 +252,13 @@ class TestDataset:
             ("images", "file", 7, "not a file name"),
             ("annotations", "bbox", [1e308, 0.0, 1e308, 1.0], "infinite extent"),
             ("annotations", "bbox", [0.0, 0.0, 1e200, 1e200], "infinite extent"),
+            ("images", "id", 9, "image 1: duplicate id 9"),
+            ("images", "id", 0.5, "image 0: bad id 0.5"),
+            ("images", "id", -1, "image 0: id -1 is outside"),
+            ("images", "id", 2**64, "image 0: id 18446744073709551616 is outside"),
+            ("annotations", "image_id", 8.5, "annotation 0: bad image_id 8.5"),
+            ("annotations", "category", 1.5, "annotation 0: bad category 1.5"),
+            ("annotations", "image_id", 99, "annotation 0: image_id 99 names no image"),
         ],
     )
     def test_bad_manifest_content_is_config_error(self, tmp_path, section, key, value, match):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rlaod.errors import ContractViolation
 from rlaod.imaging import (
     AttributeAction,
-    ScaleModel,
     estimate_scale_level,
     scale_factor_for_step,
     update_scale_level,
@@ -87,12 +86,3 @@ class TestScaleFactor:
             shifted = estimate_scale_level(area * f * f) - estimate_scale_level(area)
             if abs(estimate_scale_level(area * f * f)) < 1.0:
                 assert shifted == pytest.approx(after - before, abs=1e-9)
-
-
-def test_scale_model_validation():
-    with pytest.raises(ValueError):
-        ScaleModel(level=1.5)
-    with pytest.raises(ValueError):
-        ScaleModel(level=0.0, theta=1.0)
-    with pytest.raises(ValueError):
-        ScaleModel(level=0.0, alpha0=-1.0)
