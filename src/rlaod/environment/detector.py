@@ -39,6 +39,12 @@ class DetectorCalibration:
         lo, hi = self.area_full_band
         if not self.area_zero_below < lo < hi < self.area_zero_above:
             raise ValueError("area bands must be nested and positive")
+        if self.projection_seed < 0:
+            raise ValueError(f"projection_seed must be >= 0, got {self.projection_seed}")
+        if self.jitter_coeff < 0.0:
+            raise ValueError(f"jitter_coeff must be >= 0, got {self.jitter_coeff}")
+        if not 0.0 <= self.false_positive_rate <= 1.0:
+            raise ValueError(f"false_positive_rate {self.false_positive_rate} outside [0, 1]")
 
 
 @dataclass(frozen=True)

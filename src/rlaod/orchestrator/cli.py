@@ -22,6 +22,7 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
+from ..environment import generate_scene
 from ..errors import (
     ConfigError,
     ContractViolation,
@@ -118,12 +119,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     if args.agent == "both":
         train_agents(cfg, out)
     else:
-        kind = StateKind.BRIGHTNESS if args.agent == "brightness" else StateKind.SCALE
-        out.mkdir(parents=True, exist_ok=True)
-        params, _ = train_agent(kind, cfg, log_path=out / f"train_{args.agent}.csv")
-        from ..agent import save_params
-
-        save_params(params, out / f"{args.agent}.rlw")
+        train_agent(StateKind(args.agent), cfg, out_dir=out)
     print(out)
     return 0
 
@@ -133,11 +129,12 @@ def _cmd_run(args, cfg: RunConfig) -> int:
     if args.data:
         scenes = load_dataset(args.data)
     else:
-        from ..environment import generate_scene
-
         scenes = [generate_scene(cfg.seed + i, cfg.scene) for i in range(_scene_count(args.n))]
     with closing(build_detector(cfg)) as detector:
-        results = [run_episode(scene, bundle, detector, cfg.horizon) for scene in scenes]
+        results = [
+            run_episode(scene, detector, cfg.horizon, bundle.brightness, bundle.scale)
+            for scene in scenes
+        ]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,6 +177,15 @@ def _cmd_report(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _check_out(out: str) -> None:
+    """ConfigError unless `out` is a directory, or its nearest existing
+    ancestor is one so the command can create it. Creates nothing."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+
+
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "degrade": _cmd_degrade,
@@ -206,6 +212,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        _check_out(args.out)
         return _COMMANDS[args.command](args, cfg)
     except RlaodError as exc:
         code, label = next((c, lab) for kind, c, lab in _EXIT_CODES if isinstance(exc, kind))

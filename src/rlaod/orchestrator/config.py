@@ -11,6 +11,7 @@ from pathlib import Path
 from ..agent import TrainConfig
 from ..environment import DetectorCalibration, ExternalDetector, OracleDetector, SceneParams
 from ..errors import ConfigError
+from ..util import finite_floats
 
 
 class EvalMode(Enum):
@@ -62,6 +63,11 @@ def desk_scene_params() -> SceneParams:
     )
 
 
+# Scene seeds are derived as seed + offset; below 2**63 they stay under
+# dataset.ID_LIMIT, the bound on image ids.
+SEED_LIMIT = 2**63
+
+
 @dataclass
 class RunConfig:
     seed: int = 0  # scene stream seed
@@ -77,6 +83,9 @@ class RunConfig:
     calibration: DetectorCalibration = field(default_factory=DetectorCalibration)
 
     def __post_init__(self):
+        for name in ("seed", "train_seed"):
+            if not 0 <= getattr(self, name) < SEED_LIMIT:
+                raise ConfigError(f"{name} {getattr(self, name)} outside [0, 2**63)")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
         if self.n_eval_scenes < 1:
@@ -91,6 +100,22 @@ class RunConfig:
             raise ConfigError(f"image_format must be 'ppm' or 'png', got {self.image_format!r}")
 
 
+def _fits(value, default) -> bool:
+    """Whether a JSON value may stand in for a field's default: an int field
+    takes an int (never a bool), a float field a finite number, a str field a
+    str, and a tuple field a list of its length, item by item. `endpoint`,
+    the one field whose default is None, takes a str."""
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(default)
+            and all(map(_fits, value, default))
+        )
+    if isinstance(default, float):
+        return finite_floats([value]) is not None
+    return type(value) is (str if default is None else type(default))
+
+
 def _build_section(default, data: dict, name: str):
     """Overlay a config section's dict onto its default instance."""
     if not isinstance(data, dict):
@@ -101,11 +126,14 @@ def _build_section(default, data: dict, name: str):
     bad = set(data) - known
     if bad:
         raise ConfigError(f"unknown {name} option(s): {sorted(bad)}")
+    for key, value in data.items():
+        if not _fits(value, getattr(default, key)):
+            raise ConfigError(f"bad {name} option {key}: {value!r}")
     tupled = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
         return replace(default, **tupled)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from exc
+        raise ConfigError(f"bad {name}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
@@ -124,14 +152,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     train = _build_section(TrainConfig(), data.pop("train", {}), "train")
     scene = _build_section(desk_scene_params(), data.pop("scene", {}), "scene")
     calib = _build_section(DetectorCalibration(), data.pop("calibration", {}), "calibration")
-    known = {f.name for f in fields(RunConfig)} - {"train", "scene", "calibration"}
-    bad = set(data) - known
-    if bad:
-        raise ConfigError(f"unknown config option(s): {sorted(bad)}")
-    try:
-        return RunConfig(train=train, scene=scene, calibration=calib, **data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return _build_section(RunConfig(train=train, scene=scene, calibration=calib), data, "config")
 
 
 def build_detector(cfg: RunConfig):

@@ -74,18 +74,14 @@ def evaluate_mode(
         raise ConfigError(f"mode {mode.value} needs trained weights")
     subset = [im for im in images if not mode.clean_only or im.origin == "clean"]
 
+    brightness = bundle.brightness if mode.uses_brightness else None
+    scale = bundle.scale if mode.uses_scale else None
+
     dets_per_image = []
     truths_per_image = []
     ps = []
     for im in subset:
-        result = run_episode(
-            im.scene,
-            bundle if (mode.uses_brightness or mode.uses_scale) else None,
-            detector,
-            horizon=mode.horizon,
-            use_brightness=mode.uses_brightness,
-            use_scale=mode.uses_scale,
-        )
+        result = run_episode(im.scene, detector, mode.horizon, brightness, scale)
         dets_per_image.append(result.final_detections)
         truths_per_image.append(im.scene.truths)
         ps.append(result.final_p)

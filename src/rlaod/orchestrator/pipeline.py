@@ -30,8 +30,10 @@ from ..features import (
 from ..imaging import BRIGHTNESS_ACTIONS, SCALE_ACTIONS, AttributeAction, RgbImage
 from ..metrics import Detection
 
-BRIGHTNESS_FILE = "brightness.rlw"
-SCALE_FILE = "scale.rlw"
+
+def weight_file(kind: StateKind) -> str:
+    """The file name of one agent's weights inside a weights directory."""
+    return f"{kind.value}.rlw"
 
 
 @dataclass
@@ -44,18 +46,18 @@ class AgentBundle:
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        save_params(self.brightness, out / BRIGHTNESS_FILE)
-        save_params(self.scale, out / SCALE_FILE)
+        save_params(self.brightness, out / weight_file(StateKind.BRIGHTNESS))
+        save_params(self.scale, out / weight_file(StateKind.SCALE))
 
     @classmethod
     def load(cls, weights_dir: str | Path) -> "AgentBundle":
-        d = Path(weights_dir)
-        for name in (BRIGHTNESS_FILE, SCALE_FILE):
-            if not (d / name).exists():
-                raise ConfigError(f"missing weight file {d / name}")
+        paths = {kind: Path(weights_dir) / weight_file(kind) for kind in StateKind}
+        for path in paths.values():
+            if not path.exists():
+                raise ConfigError(f"missing weight file {path}")
         return cls(
-            brightness=_load_net(d / BRIGHTNESS_FILE, len(BRIGHTNESS_ACTIONS)),
-            scale=_load_net(d / SCALE_FILE, len(SCALE_ACTIONS)),
+            brightness=_load_net(paths[StateKind.BRIGHTNESS], len(BRIGHTNESS_ACTIONS)),
+            scale=_load_net(paths[StateKind.SCALE], len(SCALE_ACTIONS)),
         )
 
 
@@ -140,27 +142,25 @@ def map_detections_back(
 
 def run_episode(
     scene: Scene,
-    bundle: AgentBundle | None,
     detector,
     horizon: int,
-    use_brightness: bool = True,
-    use_scale: bool = True,
+    brightness: MlpParams | None = None,
+    scale: MlpParams | None = None,
 ) -> EpisodeResult:
-    """Run one greedy episode; with both agents off this is a plain detector pass."""
+    """Run one greedy episode with the nets given; with neither net this is a
+    plain detector pass."""
     ep = reset_episode(scene, detector, max(horizon, 1))
     initial_p = ep.last_p
     trajectory: list[StepRecord] = []
-    if (use_brightness or use_scale) and bundle is None:
-        raise ConfigError("agent mode requested but no weights were provided")
 
-    for _ in range(horizon if (use_brightness or use_scale) else 0):
+    for _ in range(horizon if (brightness is not None or scale is not None) else 0):
         a_b = a_s = None
-        if use_brightness:
+        if brightness is not None:
             a_b = greedy_action(
-                bundle.brightness, agent_state(ep, StateKind.BRIGHTNESS), BRIGHTNESS_ACTIONS
+                brightness, agent_state(ep, StateKind.BRIGHTNESS), BRIGHTNESS_ACTIONS
             )
-        if use_scale:
-            a_s = greedy_action(bundle.scale, agent_state(ep, StateKind.SCALE), SCALE_ACTIONS)
+        if scale is not None:
+            a_s = greedy_action(scale, agent_state(ep, StateKind.SCALE), SCALE_ACTIONS)
         ep, _, _, _ = step_episode(ep, a_b, a_s)
         trajectory.append(
             StepRecord(

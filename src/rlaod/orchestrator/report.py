@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..errors import ConfigError
+from ..util import finite_floats
 from .config import EvalMode
 from .evaluation import ModeResult
 
@@ -59,11 +60,11 @@ def emit_payload(payload: dict, out_dir: str | Path) -> dict[str, Path]:
 
 def _is_report(payload) -> bool:
     """A JSON object whose "modes" (if any) map names to rows whose metrics
-    are numbers or null."""
+    are finite numbers or null."""
     modes = payload.get("modes", {}) if isinstance(payload, dict) else None
     return isinstance(modes, dict) and all(
         isinstance(row, dict)
-        and all(isinstance(row.get(m), (int, float, type(None))) for m in METRICS)
+        and finite_floats([row[m] for m in METRICS if row.get(m) is not None]) is not None
         for row in modes.values()
     )
 

@@ -21,6 +21,7 @@ from ..agent import (
     Transition,
     forward,
     init_params,
+    save_params,
     select_action,
     sync_target,
     train_step,
@@ -36,7 +37,7 @@ from ..environment import (
 from ..features import STATE_DIM, StateKind
 from ..imaging import BRIGHTNESS_ACTIONS, SCALE_ACTIONS
 from .config import RunConfig, build_detector
-from .pipeline import AgentBundle, agent_state
+from .pipeline import AgentBundle, agent_state, weight_file
 
 _DEGRADE_KINDS = {
     StateKind.BRIGHTNESS: (DegradeKind.OVER_EXPOSE, DegradeKind.UNDER_EXPOSE),
@@ -90,12 +91,14 @@ def train_agent(
     kind: StateKind,
     cfg: RunConfig,
     seed: int | None = None,
-    log_path: str | Path | None = None,
+    out_dir: str | Path | None = None,
 ):
     """Train one agent; returns (params, log rows).
 
     Training runs in float32; the returned params are their float64 widening,
-    so inference on them equals inference on the saved weight file."""
+    so inference on them equals inference on the saved weight file. With
+    `out_dir`, the agent's log `train_<kind>.csv` and its weight file are
+    written there once training ends."""
     seed = cfg.train_seed if seed is None else seed
     total = (
         cfg.train.iterations_brightness
@@ -156,28 +159,17 @@ def train_agent(
 
             rows.append(LogRow(iteration=it, loss=loss, epsilon=epsilon, mean_episode_reward=mean_reward))
 
-    if log_path is not None:
-        _write_log(rows, Path(log_path))
-    return online.astype(np.float64), rows
+    params = online.astype(np.float64)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_log(rows, out / f"train_{kind.value}.csv")
+        save_params(params, out / weight_file(kind))
+    return params, rows
 
 
 def train_agents(cfg: RunConfig, out_dir: str | Path | None = None) -> AgentBundle:
-    """Train the brightness agent, then the scale agent; optionally persist
-    weights and CSV logs."""
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    brightness, _ = train_agent(
-        StateKind.BRIGHTNESS,
-        cfg,
-        log_path=out / "train_brightness.csv" if out else None,
-    )
-    scale, _ = train_agent(
-        StateKind.SCALE,
-        cfg,
-        log_path=out / "train_scale.csv" if out else None,
-    )
-    bundle = AgentBundle(brightness=brightness, scale=scale)
-    if out is not None:
-        bundle.save(out)
-    return bundle
+    """Train the brightness agent, then the scale agent; with `out_dir`, each
+    writes its files there as it finishes."""
+    nets = {kind: train_agent(kind, cfg, out_dir=out_dir)[0] for kind in StateKind}
+    return AgentBundle(brightness=nets[StateKind.BRIGHTNESS], scale=nets[StateKind.SCALE])

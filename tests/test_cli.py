@@ -12,6 +12,9 @@ from rlaod.orchestrator import AgentBundle, build_eval_set, load_config, load_da
 from rlaod.orchestrator.cli import main
 
 
+EVALUATE_FR = ("evaluate", "--modes", "FR", "--n", "1")
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -382,8 +385,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "{not json", "[1, 2]", json.dumps({"modes": {"FR": {"ap": "x"}}})],
-        ids=["missing", "not-json", "not-object", "non-numeric-metric"],
+        [
+            None,
+            "{not json",
+            "[1, 2]",
+            json.dumps({"modes": {"FR": {"ap": "x"}}}),
+            '{"modes": {"FR": {"ap": 1' + "0" * 400 + "}}}",
+            json.dumps({"modes": {"FR": {"ap": True}}}),
+            '{"modes": {"FR": {"ap": NaN, "ap50": Infinity}}}',
+        ],
+        ids=["missing", "not-json", "not-object", "non-numeric-metric", "int-beyond-float",
+             "bool-metric", "non-finite-metric"],
     )
     def test_bad_results_file_is_2(self, tmp_path, capsys, content):
         results = tmp_path / "report.json"
@@ -409,6 +421,9 @@ class TestExitCodes:
             ("train", {"warmup": -1}),
             ("train", {"learning_rate": 0.0}),
             ("train", {"iterations_brightness": 4.5}),
+            ("train", {"hidden_width": True}),
+            ("train_seed", -5),
+            ("train_seed", 1.5),
         ],
         ids=lambda v: v if isinstance(v, str) else json.dumps(v),
     )
@@ -424,6 +439,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, args",
+        [
+            ('{"seed": 1.5}', EVALUATE_FR),
+            ('{"calibration": {"jitter_coeff": "a"}}', EVALUATE_FR),
+            ('{"calibration": {"projection_seed": -1}}', EVALUATE_FR),
+            ('{"scene": {"area_range": [1e308, 1e309]}}', EVALUATE_FR),
+            ('{"detector": "external", "endpoint": 5}', EVALUATE_FR),
+            ("{}", ("--seed", "-5", "gen-data", "--n", "2")),
+            ("{}", ("--seed", str(2**64 - 1), "gen-data", "--n", "2")),
+        ],
+        ids=["seed-fraction", "jitter-str", "projection-seed-neg", "area-range-inf",
+             "endpoint-int", "seed-neg", "seed-2**64-1"],
+    )
+    def test_bad_config_value_is_2(self, tmp_path, capsys, config, args):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        out = tmp_path / "o"
+        assert run_cli("--config", str(path), *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["gen-data", "degrade", "train", "run", "evaluate", "report"])
+    def test_unusable_out_is_2(self, tmp_path, tiny_config_file, capsys, command, below):
+        weights, data, results = tmp_path / "w", tmp_path / "data", tmp_path / "report.json"
+        sizes = (STATE_DIM, 8, 2)
+        AgentBundle(init_params(sizes, seed=1), init_params(sizes, seed=2)).save(weights)
+        assert run_cli("--config", tiny_config_file, "gen-data", "--out", str(data), "--n", "1") == 0
+        results.write_text(json.dumps({"modes": {}}))
+        args = {
+            "gen-data": ("--n", "1"),
+            "degrade": ("--data", str(data)),
+            "train": ("--agent", "scale"),
+            "run": ("--weights", str(weights), "--n", "1"),
+            "evaluate": ("--modes", "FR", "--n", "1"),
+            "report": ("--results", str(results)),
+        }[command]
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "sub" if below else blocker
+        capsys.readouterr()
+        assert run_cli("--config", tiny_config_file, command, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{blocker} is not a directory" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "x"
 
     def test_diverged_training_is_6(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.json"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rlaod.agent import init_params
+from rlaod.agent import init_params, load_params
 from rlaod.environment import OracleDetector, SceneParams, generate_scene
 from rlaod.errors import ConfigError, ImageFormatError, WeightFormatError
 from rlaod.features import STATE_DIM, StateKind
@@ -14,6 +14,7 @@ from rlaod.orchestrator import (
     build_eval_set,
     emit_payload,
     emit_report,
+    evaluate_mode,
     evaluate_modes,
     generate_dataset,
     load_config,
@@ -22,6 +23,7 @@ from rlaod.orchestrator import (
     train_agent,
     train_agents,
 )
+from rlaod.orchestrator import evaluation, training
 from rlaod.orchestrator.evaluation import ModeResult
 from rlaod.metrics import ApReport
 
@@ -89,11 +91,13 @@ class TestTraining:
 
     def test_log_rows_match_iterations(self, tmp_path):
         cfg = tiny_config()
-        _, rows = train_agent(StateKind.BRIGHTNESS, cfg, log_path=tmp_path / "log.csv")
+        params, rows = train_agent(StateKind.BRIGHTNESS, cfg, out_dir=tmp_path)
         assert len(rows) == cfg.train.iterations_brightness
-        lines = (tmp_path / "log.csv").read_text().strip().split("\n")
+        lines = (tmp_path / "train_brightness.csv").read_text().strip().split("\n")
         assert lines[0] == "iteration,loss,epsilon,mean_episode_reward"
         assert len(lines) == 1 + cfg.train.iterations_brightness
+        assert np.array_equal(load_params(tmp_path / "brightness.rlw").flat, params.flat)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["brightness.rlw", "train_brightness.csv"]
 
     def test_deterministic_given_seed(self):
         cfg = tiny_config()
@@ -113,7 +117,7 @@ class TestPipeline:
         bundle, cfg = tiny_bundle
         scene = generate_scene(900, cfg.scene)
         det = OracleDetector(cfg.calibration)
-        res = run_episode(scene, bundle, det, horizon=4)
+        res = run_episode(scene, det, 4, bundle.brightness, bundle.scale)
         assert len(res.trajectory) == 4
         assert res.scene_id == scene.seed
 
@@ -121,8 +125,8 @@ class TestPipeline:
         bundle, cfg = tiny_bundle
         scene = generate_scene(901, cfg.scene)
         det = OracleDetector(cfg.calibration)
-        a = run_episode(scene, bundle, det, horizon=3)
-        b = run_episode(scene, bundle, det, horizon=3)
+        a = run_episode(scene, det, 3, bundle.brightness, bundle.scale)
+        b = run_episode(scene, det, 3, bundle.brightness, bundle.scale)
         assert [s.to_dict() for s in a.trajectory] == [s.to_dict() for s in b.trajectory]
 
     def test_prefix_nesting(self, tiny_bundle):
@@ -132,8 +136,8 @@ class TestPipeline:
         det = OracleDetector(cfg.calibration)
         for seed in (902, 903, 904):
             scene = generate_scene(seed, cfg.scene)
-            short = run_episode(scene, bundle, det, horizon=2)
-            long = run_episode(scene, bundle, det, horizon=4)
+            short = run_episode(scene, det, 2, bundle.brightness, bundle.scale)
+            long = run_episode(scene, det, 4, bundle.brightness, bundle.scale)
             assert [s.to_dict() for s in short.trajectory] == [
                 s.to_dict() for s in long.trajectory[:2]
             ]
@@ -142,7 +146,7 @@ class TestPipeline:
         bundle, cfg = tiny_bundle
         det = OracleDetector(cfg.calibration)
         scenes = [generate_scene(910 + i, cfg.scene) for i in range(3)]
-        results = [run_episode(scene, bundle, det, horizon=2) for scene in scenes]
+        results = [run_episode(scene, det, 2, bundle.brightness, bundle.scale) for scene in scenes]
         assert len(results) == 3
         for r in results:
             assert r.final_image.width >= 8
@@ -152,16 +156,10 @@ class TestPipeline:
         bundle, cfg = tiny_bundle
         det = OracleDetector(cfg.calibration)
         scene = generate_scene(905, cfg.scene)
-        res = run_episode(scene, bundle, det, horizon=4, use_brightness=False, use_scale=True)
+        res = run_episode(scene, det, 4, scale=bundle.scale)
         for d in res.final_detections:
             assert d.box.x_max <= scene.image.width + 1e-6
             assert d.box.y_max <= scene.image.height + 1e-6
-
-    def test_agent_mode_without_bundle_rejected(self):
-        cfg = tiny_config()
-        scene = generate_scene(1, cfg.scene)
-        with pytest.raises(ConfigError):
-            run_episode(scene, None, OracleDetector(), horizon=2)
 
 
 class TestDataset:
@@ -325,6 +323,43 @@ class TestEvaluation:
         bundle = AgentBundle(brightness=ExplodingParams(), scale=ExplodingParams())
         results = evaluate_modes(cfg, [EvalMode.FR], bundle)
         assert results[EvalMode.FR].n_images == 5
+
+
+class TestBenchmarkCallContracts:
+    """The benchmark clocks `evaluation.run_episode` as one image and counts
+    lookups of `training.forward` as training iterations."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [EvalMode.FR, EvalMode.B4, EvalMode.BS4_STAR])
+    def test_one_run_episode_per_image(self, monkeypatch, mode):
+        cfg = tiny_config(n_eval_scenes=2)
+        images = build_eval_set(cfg)
+        calls = self.count_calls(monkeypatch, evaluation, "run_episode")
+        result = evaluate_mode(mode, images, random_bundle(), OracleDetector(cfg.calibration))
+        assert len(calls) == result.n_images == (2 if mode.clean_only else 10)
+
+    @pytest.mark.parametrize("kind", list(StateKind), ids=lambda k: k.value)
+    def test_one_forward_per_training_iteration(self, monkeypatch, kind):
+        cfg = tiny_config()
+        calls = self.count_calls(monkeypatch, training, "forward")
+        _, rows = train_agent(kind, cfg)
+        want = (
+            cfg.train.iterations_brightness
+            if kind is StateKind.BRIGHTNESS
+            else cfg.train.iterations_scale
+        )
+        assert len(calls) == len(rows) == want
 
 
 class TestReport:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+import is a statement of the module body, not of a function or class.
 
 Package ``__init__`` modules re-export names and are skipped. A name kept
 on purpose (a call site only an outside tool wraps) carries ``# noqa: F401``
@@ -31,6 +32,16 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of the imports that are not statements of the module body."""
+    tree = ast.parse(source)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
 def test_checker_finds_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -51,3 +62,23 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_nested_imports():
+    source = (
+        "import os\n"
+        "from a import b\n"
+        "def run():\n"
+        "    from c import d\n"
+        "    return d\n"
+        "class K:\n"
+        "    import e\n"
+        "if os:\n"
+        "    import f\n"
+    )
+    assert nested_imports(source) == [4, 7, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_imports_at_top_level(path):
+    assert nested_imports(path.read_text()) == []
