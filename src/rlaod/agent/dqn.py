@@ -109,6 +109,13 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        fill = max(self.batch_size, self.warmup)
+        if self.buffer_capacity < fill:
+            # train_step waits for max(batch_size, warmup) stored transitions.
+            raise ValueError(
+                f"buffer_capacity {self.buffer_capacity} below max(batch_size, warmup) = {fill}: "
+                "no gradient step could ever run"
+            )
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 

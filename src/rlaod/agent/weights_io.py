@@ -32,7 +32,10 @@ def save_params(params: MlpParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> MlpParams:
     """Float64 parameters from a weight file: all headers are checked first,
     then each layer's finite f32 data widens once into the flat buffer."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise WeightFormatError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(data) < len(MAGIC) + 4 or not data.startswith(MAGIC):
         raise WeightFormatError(f"{path}: bad magic")
     pos = len(MAGIC)

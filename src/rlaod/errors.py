@@ -18,7 +18,7 @@ class ProtocolError(RlaodError):
 
 
 class WeightFormatError(RlaodError):
-    """Weight file is corrupt, truncated, or has the wrong layout."""
+    """Weight file is unreadable, corrupt, truncated, or has the wrong layout."""
 
 
 class TrainingDiverged(RlaodError):

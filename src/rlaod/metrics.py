@@ -2,7 +2,8 @@
 
 Covers box geometry, one-to-one greedy matching, the composite per-image
 performance score p = (F + mean IoU) / 2 that drives the reward signal,
-and a COCO-style average-precision report over an image set.
+and COCO-style average precision: each image is matched once into a table,
+and any multiset of tables accumulates into one report.
 """
 
 from __future__ import annotations
@@ -186,98 +187,74 @@ def reward(p_next: float, p_prev: float) -> int:
 
 
 @dataclass(frozen=True)
-class _ImageEval:
-    """Per-image quantities shared by every threshold and stratum."""
+class ImageMatches:
+    """One image's AP match table, made once and summed by `accumulate_ap`.
 
-    det_order: list[int]  # detection indices by descending score
-    scores: np.ndarray
-    det_areas: np.ndarray
-    det_cats: list[int]
-    gt_areas: np.ndarray
-    gt_cats: list[int]
-    ious: np.ndarray  # (n_det, n_gt)
-
-
-def _prepare_image(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> _ImageEval:
-    mat = np.zeros((len(dets), len(gts)))
-    for i, d in enumerate(dets):
-        for j, g in enumerate(gts):
-            mat[i, j] = iou(d.box, g.box)
-    return _ImageEval(
-        det_order=sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)),
-        scores=np.array([d.score for d in dets]),
-        det_areas=np.array([d.box.area for d in dets]),
-        det_cats=[d.category for d in dets],
-        gt_areas=np.array([g.box.area for g in gts]),
-        gt_cats=[g.category for g in gts],
-        ious=mat,
-    )
-
-
-def _match_for_ap(img: _ImageEval, gt_ignored: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """Greedy AP matching with ignore semantics.
-
-    Returns (detection index, status) with status 1 = true positive and
-    0 = false positive; detections absorbed by ignored truths are dropped.
-    Truths are scanned valid-first so an ignored truth never displaces an
-    achievable valid match, though a higher-IoU ignored truth may still
-    absorb a detection that has no valid match.
+    `status[s, t, i]` is 1 when detection i is a true positive in stratum s
+    at IoU threshold t, 0 a false positive and -1 not counted; strata and
+    thresholds follow `_STRATA` and `IOU_THRESHOLDS`. `n_gt[s]` counts the
+    truths inside stratum s.
     """
-    n_gt = len(img.gt_cats)
-    gt_order = sorted(range(n_gt), key=lambda j: (bool(gt_ignored[j]), j))
-    taken = [False] * n_gt
-    out = []
-    for di in img.det_order:
-        best_j, best_iou = -1, threshold
-        for gj in gt_order:
-            if taken[gj] or img.gt_cats[gj] != img.det_cats[di]:
-                continue
-            if best_j >= 0 and not gt_ignored[best_j] and gt_ignored[gj]:
-                break  # a valid match holds; the rest are ignored truths
-            v = img.ious[di, gj]
-            if v >= best_iou:
-                best_iou = v
-                best_j = gj
-        if best_j < 0:
-            out.append((di, 0))
-        elif gt_ignored[best_j]:
-            taken[best_j] = True
-        else:
-            taken[best_j] = True
-            out.append((di, 1))
-    return out
+
+    scores: np.ndarray  # (n_det,)
+    status: np.ndarray  # int8, (strata, thresholds, n_det)
+    n_gt: np.ndarray  # (strata,)
 
 
-def _ap_from_scored(scored: list[tuple[float, int]], n_gt: int) -> float:
-    """101-point interpolated AP from (score, is_tp) entries.
+def match_image(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> ImageMatches:
+    """Greedy AP matching of one image at every stratum and IoU threshold.
 
-    Equal scores are consumed as one operating point, so the result does
-    not depend on how ties happened to be ordered across images.
+    Detections go by descending score. Each takes the highest-IoU free truth
+    of its category at or above the threshold, ties going to the later truth.
+    Truths outside the stratum are ignored: they are scanned after the valid
+    ones, so they never displace an achievable valid match, though a
+    higher-IoU ignored truth may still absorb a detection that has no valid
+    match. A detection so absorbed is not counted, nor, per COCO, is an
+    unmatched one outside the stratum's area range.
     """
-    if n_gt == 0:
-        return 0.0
-    if not scored:
-        return 0.0
-    scores = np.array([s for s, _ in scored])
-    flags = np.array([t for _, t in scored], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    scores, flags = scores[order], flags[order]
+    ious = [[iou(d.box, g.box) for g in gts] for d in dets]
+    det_order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    status = np.full((len(_STRATA), len(IOU_THRESHOLDS), len(dets)), -1, dtype=np.int8)
+    n_gt = []
+    for s, (lo, hi) in enumerate(_STRATA.values()):
+        ignored = [not lo <= g.box.area < hi for g in gts]
+        n_gt.append(ignored.count(False))
+        gt_order = sorted(range(len(gts)), key=lambda j: (ignored[j], j))
+        for t, threshold in enumerate(IOU_THRESHOLDS.tolist()):
+            taken = [False] * len(gts)
+            for di in det_order:
+                best_j, best_iou = -1, threshold
+                for gj in gt_order:
+                    if taken[gj] or gts[gj].category != dets[di].category:
+                        continue
+                    if best_j >= 0 and not ignored[best_j] and ignored[gj]:
+                        break  # a valid match holds; the rest are ignored truths
+                    if ious[di][gj] >= best_iou:
+                        best_j, best_iou = gj, ious[di][gj]
+                if best_j >= 0:
+                    taken[best_j] = True
+                    if not ignored[best_j]:
+                        status[s, t, di] = 1
+                elif s == 0 or lo <= dets[di].box.area < hi:  # s == 0 is "all"
+                    status[s, t, di] = 0
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return ImageMatches(scores=scores, status=status, n_gt=np.array(n_gt))
 
-    recalls, precisions = [], []
-    tp = fp = 0.0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and scores[j] == scores[i]:
-            j += 1
-        tp += flags[i:j].sum()
-        fp += (j - i) - flags[i:j].sum()
-        recalls.append(tp / n_gt)
-        precisions.append(tp / (tp + fp))
-        i = j
 
-    recalls = np.array(recalls)
-    precisions = np.array(precisions)
+def _ap_from_scored(scores: np.ndarray, flags: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP from detections sorted by descending score,
+    with flags 1 for a true positive and 0 for a false positive.
+
+    Equal scores are consumed as one operating point: the counts are read at
+    the end of each run of equal scores, so the result does not depend on
+    how ties happened to be ordered across images.
+    """
+    if len(scores) == 0:
+        return 0.0
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    tp = np.cumsum(flags, dtype=np.float64)[ends]
+    recalls = tp / n_gt
+    precisions = tp / (ends + 1)
     # Precision envelope: best precision achievable at recall >= r.
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     idx = np.searchsorted(recalls, RECALL_GRID, side="left")
@@ -285,58 +262,44 @@ def _ap_from_scored(scored: list[tuple[float, int]], n_gt: int) -> float:
     return float(interp.mean())
 
 
-def evaluate_ap(
-    detections_per_image: Sequence[Sequence[Detection]],
-    truths_per_image: Sequence[Sequence[GroundTruthBox]],
-) -> ApReport:
-    """COCO-style AP over an image set.
+def accumulate_ap(images: Sequence[ImageMatches]) -> ApReport:
+    """COCO-style AP over a multiset of matched images (repeats count again).
 
     AP averages the 10 IoU thresholds 0.50:0.05:0.95 with 101-point
     interpolated precision; size strata ignore (rather than penalize)
     boxes outside their area range, mirroring the COCO protocol.
     """
+    n_gt = sum((m.n_gt for m in images), np.zeros(len(_STRATA), dtype=np.int64))
+    if not n_gt.any():
+        return ApReport(None, None, None, None, None, None)
+    scores = np.concatenate([m.scores for m in images])
+    status = np.concatenate([m.status for m in images], axis=-1)
+    order = np.argsort(-scores, kind="stable")
+    scores, status = scores[order], status[..., order]
+    per_threshold = [
+        [_ap_from_scored(scores[st >= 0], st[st >= 0], n) for st in status[s]] if n else None
+        for s, n in enumerate(n_gt.tolist())
+    ]
+    ap = [None if v is None else float(np.mean(v)) for v in per_threshold]
+    at = per_threshold[0]  # "all"; IoU 0.50 and 0.75 are thresholds 0 and 5
+    return ApReport(
+        ap=ap[0],
+        ap50=None if at is None else at[0],
+        ap75=None if at is None else at[5],
+        ap_small=ap[1],
+        ap_medium=ap[2],
+        ap_large=ap[3],
+    )
+
+
+def evaluate_ap(
+    detections_per_image: Sequence[Sequence[Detection]],
+    truths_per_image: Sequence[Sequence[GroundTruthBox]],
+) -> ApReport:
+    """COCO-style AP over an image set: each image matched once, then
+    accumulated (see `accumulate_ap`)."""
     if len(detections_per_image) != len(truths_per_image):
         raise ValueError("detection and truth lists must cover the same images")
-
-    n_gt_total = sum(len(g) for g in truths_per_image)
-    if n_gt_total == 0:
-        return ApReport(None, None, None, None, None, None)
-
-    images = [
-        _prepare_image(dets, gts)
-        for dets, gts in zip(detections_per_image, truths_per_image)
-    ]
-
-    per_stratum: dict[str, float | None] = {}
-    ap_at: dict[float, float] = {}
-    for name, (lo, hi) in _STRATA.items():
-        ignored = [~((lo <= img.gt_areas) & (img.gt_areas < hi)) for img in images]
-        n_gt = int(sum((~ig).sum() for ig in ignored))
-        if n_gt == 0:
-            per_stratum[name] = None
-            continue
-        ap_values = []
-        for t in IOU_THRESHOLDS:
-            scored: list[tuple[float, int]] = []
-            for img, ig in zip(images, ignored):
-                for di, status in _match_for_ap(img, ig, float(t)):
-                    if status == 0 and name != "all":
-                        # Unmatched detections outside the stratum's area
-                        # range are ignored as well, per COCO.
-                        if not lo <= img.det_areas[di] < hi:
-                            continue
-                    scored.append((float(img.scores[di]), status))
-            ap_t = _ap_from_scored(scored, n_gt)
-            ap_values.append(ap_t)
-            if name == "all":
-                ap_at[float(t)] = ap_t
-        per_stratum[name] = float(np.mean(ap_values))
-
-    return ApReport(
-        ap=per_stratum["all"],
-        ap50=ap_at.get(0.5),
-        ap75=ap_at.get(0.75),
-        ap_small=per_stratum["small"],
-        ap_medium=per_stratum["medium"],
-        ap_large=per_stratum["large"],
+    return accumulate_ap(
+        [match_image(dets, gts) for dets, gts in zip(detections_per_image, truths_per_image)]
     )

@@ -8,9 +8,9 @@
     rlaod report    --results report.json --out DIR
 
 Exit codes: 0 success, 1 other package error, 2 configuration error,
-3 detector protocol or transport error, 4 invariant violation, 5 corrupt
-or wrong-shaped weight file, 6 training diverged, 7 unreadable or corrupt
-image file.
+3 detector protocol or transport error, 4 invariant violation, 5 corrupt,
+wrong-shaped or unreadable weight file, 6 training diverged, 7 unreadable
+or corrupt image file.
 """
 
 from __future__ import annotations
@@ -160,6 +160,8 @@ def _cmd_run(args, cfg: RunConfig) -> int:
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
     modes = [EvalMode.parse(m) for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise ConfigError(f"--modes {args.modes!r} names no mode")
     if args.n is not None:
         cfg = dataclasses.replace(cfg, n_eval_scenes=args.n)
     bundle = AgentBundle.load(args.weights) if args.weights else None

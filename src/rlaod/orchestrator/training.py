@@ -110,7 +110,8 @@ def train_agent(
     online = init_params(cfg.train.layer_sizes(STATE_DIM), seed).astype(np.float32)
     target = online.copy()
     opt = AdamState.for_params(online, lr=cfg.train.learning_rate)
-    buffer = ReplayBuffer(cfg.train.buffer_capacity, STATE_DIM)
+    # One transition per iteration: a larger buffer would never fill or wrap.
+    buffer = ReplayBuffer(max(1, min(cfg.train.buffer_capacity, total)), STATE_DIM)
     rng_agent = np.random.default_rng([seed, 0xA6])
     rng_batch = np.random.default_rng([seed, 0xB7])
 

@@ -142,6 +142,15 @@ class TestTrainRunEvaluate:
         assert (weights / "brightness.rlw").exists()
         assert not (weights / "scale.rlw").exists()
 
+    def test_buffer_capacity_beyond_memory_trains(self, tmp_path):
+        # The buffer holds at most one transition per iteration, so a
+        # capacity no machine could allocate still trains.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": {"buffer_capacity": 10**12, "iterations_brightness": 4}}))
+        weights = tmp_path / "w"
+        assert run_cli("--config", str(path), "train", "--agent", "brightness", "--out", str(weights)) == 0
+        assert (weights / "brightness.rlw").exists()
+
 
 class TestDeterminism:
     """Same seed, same bytes: weights, training logs and report."""
@@ -256,9 +265,11 @@ class TestExitCodes:
             (("evaluate", "--modes", "FR", "--n", "0"), "n_eval_scenes must be at least 1"),
             (("gen-data", "--n", "-2"), "--n must be at least 1"),
             (("gen-data", "--n", "0"), "--n must be at least 1"),
+            (("evaluate", "--modes", ",", "--n", "1"), "names no mode"),
+            (("evaluate", "--modes", "", "--n", "1"), "names no mode"),
         ],
         ids=["run-horizon-neg", "run-horizon-0", "run-n-0", "evaluate-n-neg", "evaluate-n-0",
-             "gen-data-n-neg", "gen-data-n-0"],
+             "gen-data-n-neg", "gen-data-n-0", "evaluate-modes-comma", "evaluate-modes-empty"],
     )
     def test_out_of_range_count_is_2(self, tmp_path, tiny_config_file, capsys, args, message):
         weights = tmp_path / "w"
@@ -295,6 +306,24 @@ class TestExitCodes:
             == 5
         )
         assert capsys.readouterr().err.count("weight file error: ") == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("run", "--n", "1"), ("evaluate", "--modes", "FR,B4", "--n", "1")],
+        ids=["run", "evaluate"],
+    )
+    def test_weight_path_that_is_a_directory_is_5(self, tmp_path, tiny_config_file, capsys, args):
+        weights = tmp_path / "w"
+        sizes = (STATE_DIM, 8, 2)
+        AgentBundle(init_params(sizes, seed=1), init_params(sizes, seed=2)).save(weights)
+        (weights / "brightness.rlw").unlink()
+        (weights / "brightness.rlw").mkdir()
+        out = tmp_path / "o"
+        assert run_cli("--config", tiny_config_file, *args, "--weights", str(weights), "--out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("weight file error: ") and "brightness.rlw" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_non_finite_weight_file_is_5(self, tmp_path, tiny_config_file, capsys):
         weights = tmp_path / "w"
@@ -416,6 +445,7 @@ class TestExitCodes:
             ("train", {"batch_size": 0}),
             ("train", {"target_sync_every": 0}),
             ("train", {"buffer_capacity": 0}),
+            ("train", {"buffer_capacity": 1}),
             ("train", {"iterations_brightness": -1}),
             ("train", {"iterations_scale": -1}),
             ("train", {"warmup": -1}),

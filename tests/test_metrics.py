@@ -7,10 +7,12 @@ from rlaod.metrics import (
     Box2D,
     Detection,
     GroundTruthBox,
+    accumulate_ap,
     evaluate_ap,
     f_measure,
     iou,
     match_greedy,
+    match_image,
     mean_iou,
     performance_score,
     reward,
@@ -382,3 +384,58 @@ class TestEvaluateAp:
             "ap_m": 0.6,
             "ap_l": 0.7,
         }
+
+
+# Boxes on an 8-pixel grid in a small field: their IoUs often equal a
+# threshold or tie between truths, and their areas reach every size stratum
+# and both stratum bounds (32² and 96²). About half the detections sit
+# within one cell of a truth, so most thresholds see matches. Off-grid boxes
+# are covered by test_matches_reference_on_random_instances.
+@st.composite
+def _ap_images(draw):
+    def cells(lo, hi):
+        return 8.0 * draw(st.integers(lo, hi))
+
+    def box():
+        x0, y0 = cells(0, 6), cells(0, 6)
+        return Box2D(x0, y0, x0 + cells(1, 16), y0 + cells(1, 16))
+
+    def near(b):
+        x0, y0 = b.x_min + cells(-1, 1), b.y_min + cells(-1, 1)
+        x1, y1 = b.x_max + cells(-1, 1), b.y_max + cells(-1, 1)
+        return Box2D(x0, y0, max(x1, x0 + 8.0), max(y1, y0 + 8.0))
+
+    gts = [GroundTruthBox(box(), draw(st.integers(0, 1))) for _ in range(draw(st.integers(0, 5)))]
+    dets = []
+    for _ in range(draw(st.integers(0, 5))):
+        score = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+        if gts and draw(st.booleans()):
+            gt = draw(st.sampled_from(gts))
+            dets.append(Detection(near(gt.box), score, gt.category))
+        else:
+            dets.append(Detection(box(), score, draw(st.integers(0, 1))))
+    return dets, gts
+
+
+class TestAccumulateAp:
+    @given(
+        images=st.lists(_ap_images(), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    )
+    @settings(deadline=None)
+    def test_multiset_equals_evaluate_ap_on_repeated_lists(self, images, picks):
+        idx = [i % len(images) for i in picks]
+        matches = [match_image(dets, gts) for dets, gts in images]
+        got = accumulate_ap([matches[i] for i in idx])
+        dets = [images[i][0] for i in idx]
+        gts = [images[i][1] for i in idx]
+        assert got == evaluate_ap(dets, gts)
+        ref = ap_reference(dets, gts)
+        for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
+            gv, rv = getattr(got, field), getattr(ref, field)
+            assert (gv is None) == (rv is None), field
+            if rv is not None:
+                assert gv == pytest.approx(rv, abs=1e-9), field
+
+    def test_empty_multiset_is_all_none(self):
+        assert accumulate_ap([]) == ApReport(None, None, None, None, None, None)
