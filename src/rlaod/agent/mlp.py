@@ -147,6 +147,20 @@ def backward(params: MlpParams, cache: ForwardCache, grad_q: np.ndarray) -> Para
     return grads
 
 
+# Every _FLUSH_EVERY steps, first moments below _FLUSH_BELOW in magnitude are
+# set to 0. A parameter whose gradient stays exactly 0 (a dead ReLU unit)
+# keeps a first moment that decays by beta1 each step until it is subnormal,
+# and float32 arithmetic on subnormals is many times slower. The parameter
+# bits hold: with |m| < 1e-30, c1 >= 1 - beta1 and the denominator at least
+# eps = 1e-8, the update lr (m / c1) / (sqrt(v / c2) + eps) is below about
+# 1e-24 (lr 1e-3), under half an ulp of any parameter of magnitude 1e-16
+# or more, so subtracting it leaves such a parameter unchanged. Only a
+# parameter closer to 0 than that can differ, and then by less than the
+# sum of those updates.
+_FLUSH_EVERY = 16
+_FLUSH_BELOW = 1e-30
+
+
 @dataclass
 class AdamState:
     lr: float = 0.001
@@ -171,7 +185,8 @@ def adam_step(params: MlpParams, grads: ParamGrads, opt: AdamState) -> None:
 
     Element by element the operations are those of
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-    p -= lr (m / c1) / (sqrt(v / c2) + eps), in that order.
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), in that order, with tiny first
+    moments flushed to 0 every _FLUSH_EVERY steps.
     """
     g, m, v, p = grads.flat, opt.m, opt.v, params.flat
     if not np.isfinite(g).all():
@@ -184,6 +199,8 @@ def adam_step(params: MlpParams, grads: ParamGrads, opt: AdamState) -> None:
     m *= opt.beta1
     np.multiply(g, 1.0 - opt.beta1, out=a)
     m += a
+    if t % _FLUSH_EVERY == 0:
+        m[np.abs(m) < _FLUSH_BELOW] = 0.0
     v *= opt.beta2
     np.multiply(g, 1.0 - opt.beta2, out=a)
     a *= g

@@ -3,6 +3,12 @@
 Every step re-renders brightness from the base fitted at reset and applies
 a single resize from the original image, so interpolation and truncation
 loss never compound across steps.
+
+The fit, the render and the gray rounding work value by value, and every
+pixel of the original's uint8 V plane takes one of 256 values. So the base
+is fitted on those 256 values, a render is a 256-entry table, and a frame
+reads the table at each pixel's original value, with the bits of a render
+of the whole plane.
 """
 
 from __future__ import annotations
@@ -14,15 +20,19 @@ import numpy as np
 from ..errors import ContractViolation
 from ..features import AREA_SCORE_MIN
 from ..imaging import (
+    N_VALUES,
     AttributeAction,
     BrightnessModel,
     HsvImage,
     RgbImage,
-    estimate_brightness_level,
+    # Not called here: perfbench's tracer wraps this name as a level site;
+    # the episode's levels come from level_from_counts.
+    estimate_brightness_level,  # noqa: F401
     estimate_scale_level,
     fit_brightness_base,
     hsv_to_rgb,
     hue_weights,
+    level_from_counts,
     merge_v_channel,
     render_brightness,
     # Not called here: perfbench's tracer wraps this name as a frame-resample
@@ -34,17 +44,24 @@ from ..imaging import (
     update_brightness_level,
     update_scale_level,
     value_channel,
+    value_counts,
 )
 from ..metrics import performance_score, reward
 from .detector import DetectorOutput
 from .scene import Scene, resized_truths
+
+# The values a uint8 V plane can take, in order: the brightness base is
+# fitted on them.
+_VALUES = np.arange(N_VALUES, dtype=np.float64)
+_VALUES.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class EpisodeState:
     original: Scene
     detector: object
-    brightness: BrightnessModel  # base fitted at reset; renders every level
+    # Base fitted at reset on the 256 V values; renders every level as a table.
+    brightness: BrightnessModel
     level_b: float  # current L^b
     level_s: float  # current L^s
     initial_scale_level: float
@@ -52,11 +69,16 @@ class EpisodeState:
     horizon: int
     current_image: RgbImage
     current_v: np.ndarray  # uint8 V plane of current_image
+    counts: np.ndarray  # value_counts(current_v)
+    counts0: np.ndarray  # value_counts of the original's V plane
     last_output: DetectorOutput
     last_p: float
     # The brightness render at level_b, once a step made one; steps that
     # leave level_b unchanged reuse it.
     frame: RgbImage | None = None
+    # The original's V plane as intp, the index every render reads its
+    # table at; built on the episode's first render.
+    index: np.ndarray | None = None
     # HSV of the original image and hue_weights(hsv0.h), both computed on
     # the first RGB render of the episode; gray episodes never need them.
     hsv0: HsvImage | None = None
@@ -81,11 +103,12 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     v = value_channel(scene.image)
-    level_b = estimate_brightness_level(v)
+    counts = value_counts(v)
+    level_b = level_from_counts(counts)
     output = detector.detect(
         scene.image, scene.truths, scene.seed, precomputed_v=v, precomputed_level=level_b
     )
-    brightness = fit_brightness_base(v, level_b)
+    brightness = fit_brightness_base(_VALUES, level_b)
     level_s = estimate_scale_level(detection_mean_area(output))
 
     return EpisodeState(
@@ -99,6 +122,8 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         horizon=horizon,
         current_image=scene.image,
         current_v=v,
+        counts=counts,
+        counts0=counts,
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
     )
@@ -131,24 +156,40 @@ def step_episode(
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
-    hsv0, weights = state.hsv0, state.hue_weights
+    index, hsv0, weights = state.index, state.hsv0, state.hue_weights
+    counts = None  # the frame's value counts, where the render gives them
     if state.frame is not None and level_b == state.level_b:
         frame = state.frame
     else:
-        v = render_brightness(state.brightness, level_b)
+        table = render_brightness(state.brightness, level_b)
+        if index is None:
+            index = value_channel(scene.image).astype(np.intp)
         if len(scene.image.planes) == 1:
             # hsv_to_rgb's gray rounding; render_brightness already clamps.
-            frame = RgbImage(np.floor(v + 0.5).astype(np.uint8)[None])
+            # Each original value v becomes table[v], so its pixels move
+            # there as a whole: the counts are exact integers in float64.
+            table = np.floor(table + 0.5).astype(np.uint8)
+            frame = RgbImage(np.take(table, index)[None])
+            counts = np.bincount(table, weights=state.counts0, minlength=N_VALUES)
+            counts = counts.astype(np.int64)
         else:
             if hsv0 is None:
                 hsv0 = rgb_to_hsv(scene.image)
                 weights = hue_weights(hsv0.h)
-            frame = hsv_to_rgb(merge_v_channel(hsv0, v), weights)
+            frame = hsv_to_rgb(merge_v_channel(hsv0, np.take(table, index)), weights)
     image = resize_bilinear(frame, cumulative)
     current_v = value_channel(image)
+    if counts is None or image.planes.shape != frame.planes.shape:
+        counts = value_counts(current_v)
     truths = resized_truths(scene, cumulative, image.width, image.height)
 
-    output = state.detector.detect(image, truths, scene.seed, precomputed_v=current_v)
+    output = state.detector.detect(
+        image,
+        truths,
+        scene.seed,
+        precomputed_v=current_v,
+        precomputed_level=level_from_counts(counts),
+    )
     p_next = performance_score(output.detections, truths)
     r = reward(p_next, state.last_p)
 
@@ -159,9 +200,11 @@ def step_episode(
         step=state.step + 1,
         current_image=image,
         current_v=current_v,
+        counts=counts,
         last_output=output,
         last_p=p_next,
         frame=frame,
+        index=index,
         hsv0=hsv0,
         hue_weights=weights,
     )

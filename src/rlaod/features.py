@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .imaging import N_VALUES, value_counts
+
 CONTEXT_DIM = 512
 HIST_BINS = 64
 STATE_DIM = CONTEXT_DIM + HIST_BINS
@@ -39,19 +41,22 @@ class StateVector:
             raise ValueError("state values must be finite")
 
 
-def brightness_histogram(v: np.ndarray) -> np.ndarray:
-    """Normalized 64-bin histogram of a V channel, bin width 4 over [0, 256)."""
-    v = np.asarray(v)
-    if v.size < 1:
+def brightness_histogram(counts: np.ndarray) -> np.ndarray:
+    """Normalized 64-bin histogram of a V channel, bin width 4 over [0, 256).
+
+    Takes the frame's 256 value counts (imaging.value_counts); a uint8 V
+    plane is counted first.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 1:
+        counts = value_counts(counts)
+    if counts.shape != (N_VALUES,):
+        raise ValueError(f"expected {N_VALUES} value counts, got {counts.shape}")
+    n = counts.sum()
+    if n < 1:
         raise ValueError("V channel must contain at least one pixel")
-    # bin = floor(v / 4). A uint8 plane shifts as it is, with no int64 copy;
-    # float values in [0, 255] truncate (which equals floor) to int first.
-    if v.dtype == np.uint8:
-        idx = v >> 2
-    else:
-        idx = np.minimum(v.astype(np.int64) >> 2, HIST_BINS - 1)
-    counts = np.bincount(idx.ravel(), minlength=HIST_BINS).astype(np.float64)
-    return counts / v.size
+    # Bin i holds values 4i .. 4i + 3. The sums are exact integers.
+    return counts.reshape(HIST_BINS, -1).sum(axis=1).astype(np.float64) / n
 
 
 def _area_edges() -> np.ndarray:

@@ -3,12 +3,15 @@
 from .actions import BRIGHTNESS_ACTIONS, SCALE_ACTIONS, AttributeAction
 from .brightness import (
     FIT_LEVEL_LIMIT,
+    N_VALUES,
     BrightnessModel,
     estimate_brightness_level,
     fit_brightness_base,
     interpolated_quantiles,
+    level_from_counts,
     render_brightness,
     update_brightness_level,
+    value_counts,
 )
 from .color import (
     HsvImage,

@@ -23,6 +23,9 @@ from .actions import AttributeAction
 # Fitting divides by (1 +/- level); keep the divisor away from zero.
 FIT_LEVEL_LIMIT = 0.98
 
+# A uint8 V plane takes one of 256 values.
+N_VALUES = 256
+
 # The 11 evenly spaced quantiles form 5 symmetric pairs plus the median;
 # each pair sums to the full-range estimate d and the median to d/2.
 _QUANTILES = np.arange(11) / 10.0
@@ -46,18 +49,8 @@ class BrightnessModel:
 
 
 def interpolated_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Quantiles by linear interpolation between order statistics.
-
-    A uint8 plane is sorted as it is: numpy radix-sorts 8-bit types under
-    kind="stable", several times faster than widening to float64 first.
-    Only the picked order statistics widen, so the result has the bits of
-    the float64 path.
-    """
-    values = np.asarray(values)
-    if values.dtype == np.uint8:
-        flat = np.sort(values, axis=None, kind="stable")
-    else:
-        flat = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    """Quantiles by linear interpolation between order statistics."""
+    flat = np.sort(np.asarray(values, dtype=np.float64), axis=None)
     n = flat.size
     if n == 1:
         return np.full(len(qs), flat[0], dtype=np.float64)
@@ -65,7 +58,39 @@ def interpolated_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     lo = pos.astype(np.int64)
     hi = np.minimum(lo + 1, n - 1)
     frac = pos - lo
-    return flat[lo].astype(np.float64) * (1.0 - frac) + flat[hi].astype(np.float64) * frac
+    return flat[lo] * (1.0 - frac) + flat[hi] * frac
+
+
+def value_counts(v: np.ndarray) -> np.ndarray:
+    """How many pixels of a uint8 V plane take each of the 256 values."""
+    if v.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 V plane, got {v.dtype}")
+    return np.bincount(v.ravel(), minlength=N_VALUES)
+
+
+def _level_from_deciles(q: np.ndarray) -> float:
+    d = q.sum() / _QUANTILE_DIVISOR
+    return float(min(1.0, max(-1.0, d / 255.0 - 1.0)))
+
+
+def level_from_counts(counts: np.ndarray) -> float:
+    """estimate_brightness_level of a uint8 V plane, from its value_counts.
+
+    Order statistic k is the first value whose running count exceeds k, so
+    the deciles, and the level, have the bits of the float64 sort of the
+    plane. No pixel is read.
+    """
+    n = int(counts.sum())
+    if n < 1:
+        raise ValueError("V channel must contain at least one pixel")
+    pos = _QUANTILES * (n - 1)
+    lo = pos.astype(np.int64)
+    hi = np.minimum(lo + 1, n - 1)
+    frac = pos - lo
+    running = np.cumsum(counts)
+    at_lo = np.searchsorted(running, lo, side="right").astype(np.float64)
+    at_hi = np.searchsorted(running, hi, side="right").astype(np.float64)
+    return _level_from_deciles(at_lo * (1.0 - frac) + at_hi * frac)
 
 
 def estimate_brightness_level(v: np.ndarray) -> float:
@@ -73,12 +98,14 @@ def estimate_brightness_level(v: np.ndarray) -> float:
 
     Interpolated quantiles transform affinely with the rendering map, so the
     estimate of a rendered image recovers the level it was rendered at
-    (exactly, when the base's own estimate is zero).
+    (exactly, when the base's own estimate is zero). A uint8 plane is
+    counted (level_from_counts); a float plane is sorted.
     """
     if v.size < 1:
         raise ValueError("V channel must contain at least one pixel")
-    d = interpolated_quantiles(v, _QUANTILES).sum() / _QUANTILE_DIVISOR
-    return float(min(1.0, max(-1.0, d / 255.0 - 1.0)))
+    if v.dtype == np.uint8:
+        return level_from_counts(value_counts(v))
+    return _level_from_deciles(interpolated_quantiles(v, _QUANTILES))
 
 
 def fit_brightness_base(v: np.ndarray, level: float) -> BrightnessModel:

@@ -86,5 +86,12 @@ def resize_bilinear(img: RgbImage, factor: float) -> RgbImage:
     # a single call on the stacked planes is faster only on small outputs.
     for src, dst in zip(img.planes, out):
         # Interpolated values are nonnegative, so half-up equals half-away.
-        dst[...] = np.minimum(np.floor(resample_bilinear(src, out_h, out_w) + 0.5), 255.0)
+        # No value reaches 255.5, so the rounding needs no clamp at 255:
+        # each pass blends two values of at most 255 with weights w and
+        # 1 - w, w in [0, 1), whose rounded sum is at most 1 + 2**-53; with
+        # the rounding of the products and the sum, a value of the two
+        # passes stays below 255 + 1e-12, and floor(x + 0.5) <= 255.
+        values = resample_bilinear(src, out_h, out_w)
+        values += 0.5
+        dst[...] = np.floor(values, out=values)
     return RgbImage(out)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rlaod.imaging import BrightnessModel, RgbImage, render_brightness
+from rlaod.imaging import (
+    BrightnessModel,
+    RgbImage,
+    estimate_brightness_level,
+    fit_brightness_base,
+    render_brightness,
+    value_channel,
+)
 from rlaod.imaging.png import _SIGNATURE, _chunk
 
 # `--hypothesis-profile=fuzz` runs the parser fuzz tests at length.
@@ -61,6 +68,14 @@ def reference_rgb_to_hsv(pixels):
     )
     h = (h * 60.0) % 360.0
     return h, s, v
+
+
+def per_pixel_render(image, level):
+    """V of `image` at brightness `level`, rendered pixel by pixel from a
+    base fitted on its whole float64 V plane at the plane's sorted-decile
+    level: the reference an episode's table render must match bit for bit."""
+    v = value_channel(image).astype(np.float64)
+    return render_brightness(fit_brightness_base(v, estimate_brightness_level(v)), level)
 
 
 def per_call_hsv_to_rgb(h, s, v):

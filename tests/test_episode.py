@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import per_call_hsv_to_rgb
+from conftest import per_call_hsv_to_rgb, per_pixel_render
 from rlaod.environment import (
     DegradeKind,
     DegradeOp,
@@ -23,8 +23,9 @@ from rlaod.imaging import (
     AttributeAction,
     RgbImage,
     estimate_scale_level,
-    render_brightness,
     resize_bilinear,
+    rgb_to_hsv,
+    value_channel,
 )
 
 PARAMS = SceneParams(width=96, height=96, count_range=(1, 3), area_range=(676.0, 1600.0))
@@ -79,27 +80,47 @@ class TestReset:
 
     @pytest.mark.parametrize("tint", [0.0, 0.25])
     def test_estimates_brightness_once(self, detector, monkeypatch, tint):
-        # The reset hands its level to the oracle instead of letting the
-        # oracle sort the same V plane again.
+        # The reset and every step count their frame's V values once and
+        # hand the level to the oracle, which then sorts no V plane. Each
+        # level is the float sort of the frame's V plane, and the oracle's
+        # output equals its own pass over the frame.
         scene = degrade(
             generate_scene(6, replace(PARAMS, tint_strength=tint)),
             DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5),
         )
-        want = reset_episode(scene, detector, 4)
-        calls = []
-        estimate = episode_module.estimate_brightness_level
+        passes = []
+
+        class Spy:
+            def detect(self, image, truths, seed, **kw):
+                passes.append((image, truths, seed, kw))
+                return detector.detect(image, truths, seed, **kw)
+
+        sorts = []
+        estimate = detector_module.estimate_brightness_level
 
         def counting(v):
-            calls.append(v)
+            sorts.append(v)
             return estimate(v)
 
-        monkeypatch.setattr(episode_module, "estimate_brightness_level", counting)
         monkeypatch.setattr(detector_module, "estimate_brightness_level", counting)
-        got = reset_episode(scene, detector, 4)
-        assert len(calls) == 1
-        assert got.level_b == want.level_b
-        assert got.last_output.detections == want.last_output.detections
-        assert got.last_output.context.tobytes() == want.last_output.context.tobytes()
+        ep = reset_episode(scene, Spy(), 5)
+        episodes = [ep]
+        B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
+        zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
+        for a_b, a_s in [(B, None), (B, zi), (None, zo), (D, None), (None, zo)]:
+            ep, _, _, _ = step_episode(ep, a_b, a_s)
+            episodes.append(ep)
+        assert sorts == [] and len(passes) == len(episodes)
+        monkeypatch.undo()
+        for ep, (image, truths, seed, kw) in zip(episodes, passes):
+            v = value_channel(image)
+            assert np.array_equal(kw["precomputed_v"], v)
+            assert np.array_equal(ep.counts, np.bincount(v.ravel(), minlength=256))
+            assert kw["precomputed_level"] == estimate(v.astype(np.float64))
+            want = detector.detect(image, truths, seed)
+            assert ep.last_output.detections == want.detections
+            assert ep.last_output.context.tobytes() == want.context.tobytes()
+        assert episodes[0].level_b == estimate(value_channel(scene.image).astype(np.float64))
 
 
 class TestStep:
@@ -231,20 +252,22 @@ class TestStep:
 
     def test_tinted_render_matches_per_call_formula(self, detector):
         # Hue weights are computed once per episode, on the first RGB render;
-        # every frame must equal a fresh per-call conversion bit for bit.
+        # every frame must equal a per-pixel render of the original's V
+        # plane, converted afresh, bit for bit.
         from dataclasses import replace
 
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 6)
         assert len(scene.image.planes) == 3 and ep.hue_weights is None
+        hsv = rgb_to_hsv(scene.image)
         B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
         zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
         for a_b, a_s in [(None, zo), (B, zi), (B, None), (None, zi), (D, zo), (B, zo)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
             assert ep.hue_weights is not None
-            v = render_brightness(ep.brightness, ep.level_b)
-            rgb = RgbImage.from_pixels(per_call_hsv_to_rgb(ep.hsv0.h, ep.hsv0.s, v))
+            v = per_pixel_render(scene.image, ep.level_b)
+            rgb = RgbImage.from_pixels(per_call_hsv_to_rgb(hsv.h, hsv.s, v))
             want = resize_bilinear(rgb, ep.cumulative_scale_factor)
             assert np.array_equal(ep.current_image.pixels, want.pixels)
 

@@ -15,6 +15,7 @@ from rlaod.features import (
     gaussian_smooth,
     reduce_context,
 )
+from rlaod.imaging import value_counts
 from rlaod.metrics import Box2D, Detection
 
 
@@ -25,25 +26,44 @@ def det(area, score=0.9):
 
 class TestBrightnessHistogram:
     def test_all_zero(self):
-        h = brightness_histogram(np.zeros((10, 10)))
+        h = brightness_histogram(np.zeros((10, 10), dtype=np.uint8))
         assert h[0] == 1.0 and h[1:].sum() == 0.0
 
     def test_all_255_lands_in_last_bin(self):
-        h = brightness_histogram(np.full((4, 4), 255.0))
+        h = brightness_histogram(np.full((4, 4), 255, dtype=np.uint8))
         assert h[63] == 1.0
 
     def test_uniform_bytes(self):
-        v = np.arange(256).reshape(16, 16).astype(np.float64)
+        v = np.arange(256).reshape(16, 16).astype(np.uint8)
         h = brightness_histogram(v)
         assert h == pytest.approx(np.full(64, 1 / 64))
 
     def test_sums_to_one(self, rng):
-        v = rng.uniform(0, 255, size=(31, 17))
+        v = rng.integers(0, 256, size=(31, 17), dtype=np.uint8)
         assert brightness_histogram(v).sum() == pytest.approx(1.0)
 
     def test_bin_width_four(self):
-        h = brightness_histogram(np.array([[0.0, 3.999, 4.0, 7.5]]))
+        h = brightness_histogram(np.array([[0, 3, 4, 7]], dtype=np.uint8))
         assert h[0] == 0.5 and h[1] == 0.5
+
+    def test_counts_give_the_plane_histogram(self, rng):
+        v = rng.integers(0, 256, size=(31, 17), dtype=np.uint8)
+        counts = value_counts(v)
+        assert counts.shape == (256,)
+        assert brightness_histogram(counts).tobytes() == brightness_histogram(v).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros(256, dtype=np.int64), np.ones(64, dtype=np.int64), np.zeros((0, 3), np.uint8)],
+        ids=["no pixel", "64 counts", "empty plane"],
+    )
+    def test_rejects_bad_counts(self, bad):
+        with pytest.raises(ValueError):
+            brightness_histogram(bad)
+
+    def test_rejects_float_plane(self):
+        with pytest.raises(ValueError, match="uint8"):
+            brightness_histogram(np.zeros((4, 4)))
 
 
 class TestAreaHistogram:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import per_call_hsv_to_rgb
+from conftest import per_call_hsv_to_rgb, per_pixel_render
 from rlaod.environment import (
     DegradeKind,
     DegradeOp,
@@ -27,7 +27,6 @@ from rlaod.imaging import (
     RgbImage,
     hsv_to_rgb,
     read_ppm,
-    render_brightness,
     resize_bilinear,
     rgb_to_hsv,
     value_channel,
@@ -211,7 +210,7 @@ class TestGrayEpisodeMatchesFullReference:
         identity_steps = 0
         for a_b, a_s in self.STEPS:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
-            v = render_brightness(ep.brightness, ep.level_b)
+            v = per_pixel_render(scene.image, ep.level_b)
             frame = three_planes(per_call_hsv_to_rgb(0.0, 0.0, v))
             want = resize_bilinear(frame, ep.cumulative_scale_factor)
             assert np.array_equal(ep.current_image.pixels, want.pixels)

@@ -361,6 +361,46 @@ class TestAdam:
         # second-moment estimate accumulates while m-hat/sqrt(v-hat) stays 1.
         assert step2 < step1
 
+    # The smallest parameter magnitude the first-moment flush cannot move.
+    FLUSH_SAFE = {np.float32: 1e-16, np.float64: 2e-8}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flush_keeps_parameter_bits(self, dtype, rng):
+        # Half the gradients are exactly 0 for 850 steps, as a dead unit's
+        # are, so their unflushed first moments decay below 1e-30 (and below
+        # float32's normal range) while the flushed ones are set to 0. Every
+        # parameter of magnitude FLUSH_SAFE or more keeps the unflushed
+        # reference's bits at every step. A few parameters are set near 0
+        # once their moments are tiny: there equality cannot hold, and the
+        # difference stays below the sum of the flushed updates.
+        p = init_params([40, 24, 2], seed=4).astype(dtype)
+        n = p.flat.size
+        ref_p = p.copy()
+        opt = AdamState.for_params(p, lr=1e-3)
+        ref = PerLayerAdam(ref_p, lr=1e-3)
+        dead = rng.random(n) < 0.5
+        near_zero = rng.choice(np.flatnonzero(dead), 8, replace=False)
+        tiny = np.array([0.0, 1e-30, -1e-28, 1e-25, -1e-22, 1e-20, -1e-18, 3e-17])
+        safe = self.FLUSH_SAFE[dtype]
+        for step in range(1050):
+            g = (rng.normal(size=n) * 1e-2).astype(dtype)
+            if 50 <= step < 900:
+                g[dead] = 0.0
+            if step == 600:
+                p.flat[near_zero] = ref_p.flat[near_zero] = tiny
+            grads = ParamGrads.from_flat(p.layer_sizes, g)
+            adam_step(p, grads, opt)
+            ref.step(ref_p, grads.weights + grads.biases)
+            kept = np.abs(ref_p.flat) >= safe
+            assert np.array_equal(p.flat[kept], ref_p.flat[kept]), f"step {step}"
+            if step == 899:
+                ref_m = np.concatenate([m.ravel() for m in ref.m])
+                assert np.all(opt.m[dead] == 0.0)
+                assert np.all(np.abs(ref_m[dead]) < 1e-30) and np.any(ref_m[dead] != 0.0)
+                if dtype == np.float32:
+                    assert np.any((ref_m != 0.0) & (np.abs(ref_m) < np.finfo(dtype).tiny))
+        assert np.abs(p.flat - ref_p.flat).max() <= 1e-21
+
     def test_non_finite_gradient_rejected(self):
         p = init_params([2, 2], seed=1)
         opt = AdamState.for_params(p)

@@ -161,6 +161,25 @@ class TestResizeBits:
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), ((h, w), factor)
 
+    @pytest.mark.parametrize("fill", ["all-255", "random"])
+    def test_rounding_needs_no_clamp(self, rng, fill):
+        # resize_bilinear rounds without the clamp at 255 it once had: no
+        # interpolated value exceeds 255 + 1e-12, so the clamp never binds.
+        for (h, w), _ in SIZE_PAIRS:
+            if fill == "all-255":
+                plane = np.full((h, w), 255, dtype=np.uint8)
+            else:
+                plane = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            for factor in np.linspace(0.2, 4.0, 39):
+                out_w, out_h = scaled_dims(w, h, factor)
+                if (out_w, out_h) == (w, h):
+                    continue
+                values = resample_bilinear(plane, out_h, out_w)
+                assert values.max() < 255.0 + 1e-12
+                clamped = np.minimum(np.floor(values + 0.5), 255.0).astype(np.uint8)
+                got = resize_bilinear(RgbImage(plane[None]), factor).planes[0]
+                assert got.tobytes() == clamped.tobytes(), ((h, w), factor)
+
     def test_strided_source(self, rng):
         pixels = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)[::2, 1::3]
         got = resize_bilinear(RgbImage(np.moveaxis(pixels, -1, 0)), 1.3).pixels

@@ -1,9 +1,10 @@
 """Property tests for the per-frame V statistics and the oracle's draws.
 
-A uint8 V plane is sorted and counted as bytes; every result must have the
-bits of the float64 path on the same values. The oracle's memoised
-per-truth draws must equal the hash formulas they replace, and every box a
-reader accepts must have a finite area.
+A uint8 V plane is read through its 256 value counts, and an episode frame
+through a 256-entry render table; every result must have the bits of the
+float64 path on the whole plane. The oracle's memoised per-truth draws must
+equal the hash formulas they replace, and every box a reader accepts must
+have a finite area.
 
 Run at length with `--hypothesis-profile=fuzz` (see conftest.py).
 """
@@ -19,8 +20,16 @@ from rlaod.environment.detector import _truth_draws
 from rlaod.environment.external import ExternalDetector
 from rlaod.errors import ConfigError, ProtocolError
 from rlaod.features import AREA_BIN_EDGES, HIST_BINS, area_histogram, brightness_histogram
-from rlaod.imaging import RgbImage, estimate_brightness_level, write_ppm
-from rlaod.imaging.brightness import _QUANTILES, interpolated_quantiles
+from rlaod.imaging import (
+    FIT_LEVEL_LIMIT,
+    RgbImage,
+    estimate_brightness_level,
+    fit_brightness_base,
+    level_from_counts,
+    render_brightness,
+    value_counts,
+    write_ppm,
+)
 from rlaod.metrics import Box2D, Detection
 from rlaod.orchestrator import load_dataset
 from rlaod.util import hash_unit
@@ -41,6 +50,12 @@ _SIDES = st.integers(1, 8) | st.integers(1, MAX_SIDE)
 _KINDS = st.sampled_from(["random", "constant", "few"])
 
 
+def _float_histogram(wide: np.ndarray) -> np.ndarray:
+    """The 64-bin histogram of a float64 V plane, bin floor(v / 4)."""
+    idx = np.minimum(wide.astype(np.int64) >> 2, HIST_BINS - 1)
+    return np.bincount(idx.ravel(), minlength=HIST_BINS).astype(np.float64) / wide.size
+
+
 @given(h=_SIDES, w=_SIDES, kind=_KINDS, seed=st.integers(0, 2**32 - 1))
 @example(h=1, w=1, kind="random", seed=0)
 @example(h=1, w=97, kind="random", seed=1)
@@ -51,13 +66,54 @@ _KINDS = st.sampled_from(["random", "constant", "few"])
 def test_uint8_stats_match_float(h, w, kind, seed):
     v = _plane(h, w, kind, seed)
     wide = v.astype(np.float64)
-    q8, q64 = interpolated_quantiles(v, _QUANTILES), interpolated_quantiles(wide, _QUANTILES)
-    assert q8.dtype == q64.dtype == np.float64
-    assert q8.tobytes() == q64.tobytes()
-    assert estimate_brightness_level(v) == estimate_brightness_level(wide)
-    h8, h64 = brightness_histogram(v), brightness_histogram(wide)
-    assert h8.dtype == h64.dtype == np.float64
-    assert h8.tobytes() == h64.tobytes()
+    counts = value_counts(v)
+    assert counts.sum() == v.size
+    level = level_from_counts(counts)
+    assert level == estimate_brightness_level(wide)  # the float64 sort
+    assert level == estimate_brightness_level(v)
+    want = _float_histogram(wide)
+    for got in (brightness_histogram(counts), brightness_histogram(v)):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+_LEVELS = st.sampled_from(
+    [-1.0, -FIT_LEVEL_LIMIT, -0.5, -0.1, 0.0, 0.1, 0.5, FIT_LEVEL_LIMIT, 1.0]
+) | st.floats(-1.0, 1.0)
+
+
+@given(
+    h=_SIDES,
+    w=_SIDES,
+    kind=_KINDS,
+    seed=st.integers(0, 2**32 - 1),
+    fit_level=_LEVELS,
+    level=_LEVELS,
+)
+@example(h=MAX_SIDE, w=MAX_SIDE, kind="random", seed=5, fit_level=-1.0, level=1.0)
+@example(h=3, w=7, kind="few", seed=6, fit_level=1.0, level=-1.0)
+@example(h=9, w=9, kind="random", seed=7, fit_level=FIT_LEVEL_LIMIT, level=-FIT_LEVEL_LIMIT)
+@settings(deadline=None)
+def test_table_render_matches_plane_render(h, w, kind, seed, fit_level, level):
+    # The episode fits its base on the 256 values and reads the rendered
+    # table at each pixel; that must give the bits of fitting and rendering
+    # the whole plane, as float V (tinted frames) and rounded bytes (gray).
+    v = _plane(h, w, kind, seed)
+    plane = render_brightness(fit_brightness_base(v, fit_level), level)
+    table = render_brightness(fit_brightness_base(np.arange(256.0), fit_level), level)
+    index = v.astype(np.intp)
+    tinted = np.take(table, index)
+    assert tinted.dtype == plane.dtype == np.float64
+    assert tinted.tobytes() == plane.tobytes()
+    gray_table = np.floor(table + 0.5).astype(np.uint8)
+    gray = np.take(gray_table, index)
+    assert gray.tobytes() == np.floor(plane + 0.5).astype(np.uint8).tobytes()
+    # Pushing the original's counts through the table counts the frame.
+    pushed = np.bincount(gray_table, weights=value_counts(v), minlength=256)
+    assert np.array_equal(pushed, value_counts(gray))
+    assert level_from_counts(pushed.astype(np.int64)) == estimate_brightness_level(
+        gray.astype(np.float64)
+    )
 
 
 def _area_histogram_loop(detections, min_score=0.5):
