@@ -6,9 +6,10 @@ loss never compound across steps.
 
 The fit, the render and the gray rounding work value by value, and every
 pixel of the original's uint8 V plane takes one of 256 values. So the base
-is fitted on those 256 values, a render is a 256-entry table, and a frame
-reads the table at each pixel's original value, with the bits of a render
-of the whole plane.
+is fitted on those 256 values and a render is a 256-entry table. The HSV
+round trip works colour by colour, so a frame is rendered on the original's
+palette of distinct colours (a gray image's are its 256 values) and read
+back at each pixel's colour, with the bits of a render of the whole image.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from ..imaging import (
     AttributeAction,
     BrightnessModel,
     HsvImage,
+    Palette,
     RgbImage,
     # Not called here: perfbench's tracer wraps this name as a level site;
     # the episode's levels come from level_from_counts.
@@ -70,19 +72,16 @@ class EpisodeState:
     current_image: RgbImage
     current_v: np.ndarray  # uint8 V plane of current_image
     counts: np.ndarray  # value_counts(current_v)
-    counts0: np.ndarray  # value_counts of the original's V plane
     last_output: DetectorOutput
     last_p: float
     # The brightness render at level_b, once a step made one; steps that
     # leave level_b unchanged reuse it.
     frame: RgbImage | None = None
-    # The original's V plane as intp, the index every render reads its
-    # table at; built on the episode's first render.
-    index: np.ndarray | None = None
-    # HSV of the original image and hue_weights(hsv0.h), both computed on
-    # the first RGB render of the episode; gray episodes never need them.
-    hsv0: HsvImage | None = None
-    hue_weights: np.ndarray | None = None
+    # The original's palette, the HSV of its colours and hue_weights of
+    # their H, all taken on the episode's first render.
+    palette: Palette | None = None
+    palette_hsv: HsvImage | None = None
+    palette_weights: np.ndarray | None = None
 
     @property
     def cumulative_scale_factor(self) -> float:
@@ -103,7 +102,7 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     v = value_channel(scene.image)
-    counts = value_counts(v)
+    counts = scene.image.v_counts
     level_b = level_from_counts(counts)
     output = detector.detect(
         scene.image, scene.truths, scene.seed, precomputed_v=v, precomputed_level=level_b
@@ -123,7 +122,6 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         current_image=scene.image,
         current_v=v,
         counts=counts,
-        counts0=counts,
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
     )
@@ -156,27 +154,25 @@ def step_episode(
 
     # Brightness first, then a single resize from the original frame.
     scene = state.original
-    index, hsv0, weights = state.index, state.hsv0, state.hue_weights
+    palette, hsv, weights = state.palette, state.palette_hsv, state.palette_weights
     counts = None  # the frame's value counts, where the render gives them
     if state.frame is not None and level_b == state.level_b:
         frame = state.frame
     else:
         table = render_brightness(state.brightness, level_b)
-        if index is None:
-            index = value_channel(scene.image).astype(np.intp)
-        if len(scene.image.planes) == 1:
-            # hsv_to_rgb's gray rounding; render_brightness already clamps.
-            # Each original value v becomes table[v], so its pixels move
-            # there as a whole: the counts are exact integers in float64.
-            table = np.floor(table + 0.5).astype(np.uint8)
-            frame = RgbImage(np.take(table, index)[None])
-            counts = np.bincount(table, weights=state.counts0, minlength=N_VALUES)
-            counts = counts.astype(np.int64)
-        else:
-            if hsv0 is None:
-                hsv0 = rgb_to_hsv(scene.image)
-                weights = hue_weights(hsv0.h)
-            frame = hsv_to_rgb(merge_v_channel(hsv0, np.take(table, index)), weights)
+        if palette is None:
+            palette = scene.image.palette
+            hsv = rgb_to_hsv(palette.colours)
+            # hsv_to_rgb reads no weights where S is zero everywhere.
+            weights = hue_weights(hsv.h) if hsv.s.any() else None
+        v = np.take(table, value_channel(palette.colours))
+        colours = hsv_to_rgb(merge_v_channel(hsv, v), weights)
+        frame = palette.gather(colours)
+        # Each colour's pixels move to its rendered V as a whole, so the
+        # counts are exact integers in float64.
+        counts = np.bincount(
+            value_channel(colours)[0], weights=palette.counts, minlength=N_VALUES
+        ).astype(np.int64)
     image = resize_bilinear(frame, cumulative)
     current_v = value_channel(image)
     if counts is None or image.planes.shape != frame.planes.shape:
@@ -204,9 +200,9 @@ def step_episode(
         last_output=output,
         last_p=p_next,
         frame=frame,
-        index=index,
-        hsv0=hsv0,
-        hue_weights=weights,
+        palette=palette,
+        palette_hsv=hsv,
+        palette_weights=weights,
     )
     terminal = new_state.step == state.horizon
     return (

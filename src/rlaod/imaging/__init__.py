@@ -15,6 +15,7 @@ from .brightness import (
 )
 from .color import (
     HsvImage,
+    Palette,
     RgbImage,
     hsv_to_rgb,
     hue_weights,

@@ -7,6 +7,7 @@ that brightness math can run without quantization until RGB export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +51,42 @@ class RgbImage:
         return np.moveaxis(p, 0, -1)
 
     @property
+    def palette(self) -> "Palette":
+        """The image factored into its distinct colours.
+
+        A colour image's palette is built on first use and kept with the
+        image, so every episode on it shares one factorization. A gray
+        image's needs no sort and is built afresh: keeping its 8 B/px index
+        on every live gray image would grow an evaluation set's memory.
+        """
+        if len(self.planes) == 1:
+            return factor_palette(self)
+        return self._colour_palette
+
+    @cached_property
+    def _colour_palette(self) -> "Palette":
+        return factor_palette(self)
+
+    @cached_property
+    def v_counts(self) -> np.ndarray:
+        """How many pixels take each of the 256 V values; counted on first
+        use and kept with the image, so the episodes on it count it once."""
+        counts = np.bincount(value_channel(self).ravel(), minlength=256)
+        counts.setflags(write=False)
+        return counts
+
+    @property
     def width(self) -> int:
         return self.planes.shape[2]
 
     @property
     def height(self) -> int:
         return self.planes.shape[1]
+
+
+# A uint8 plane takes one of 256 values: a gray image's palette colours.
+_GRAY_COLOURS = RgbImage(np.arange(256, dtype=np.uint8)[None, None])
+_GRAY_COLOURS.planes.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -69,6 +100,53 @@ class HsvImage:
     def __post_init__(self):
         if not (self.h.shape == self.s.shape == self.v.shape):
             raise ValueError("h, s, v channel shapes must match")
+
+
+@dataclass(frozen=True)
+class Palette:
+    """An image as its U distinct colours and, per pixel, which one it is.
+
+    ``colours`` is a (C, 1, U) image of the colours, ``index`` the (h, w)
+    intp plane of each pixel's colour and ``counts`` the pixels of each
+    colour. A per-pixel function of the colour alone can run on the U
+    colours and be read back at ``index`` with the bits of running it on
+    every pixel. ``colours`` and ``counts`` are read-only. ``index`` is
+    not written either, but stays writeable: ``np.take`` copies a read-only
+    index on every call.
+    """
+
+    colours: RgbImage
+    index: np.ndarray
+    counts: np.ndarray
+
+    def gather(self, colours: RgbImage) -> RgbImage:
+        """The image whose pixels are ``colours`` (one per palette colour,
+        (C', 1, U)) read at ``index``."""
+        return RgbImage(np.take(colours.planes[:, 0], self.index, axis=1))
+
+
+def factor_palette(img: RgbImage) -> Palette:
+    """The palette of an image; callers read it as ``img.palette``.
+
+    A colour image's colours are its distinct ``r<<16 | g<<8 | b`` keys in
+    ascending order. A gray image's are its 256 values, with its own plane
+    as the index, so it needs no sort.
+    """
+    p = img.planes
+    if len(p) == 1:
+        colours = _GRAY_COLOURS
+        index = p[0].astype(np.intp)
+        counts = img.v_counts
+    else:
+        keys = p[0].astype(np.int32) << 16
+        keys |= p[1].astype(np.int32) << 8
+        keys |= p[2]
+        uniq, inverse, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+        colours = RgbImage(np.stack([uniq >> 16, uniq >> 8, uniq]).astype(np.uint8)[:, None])
+        colours.planes.setflags(write=False)
+        index = inverse.reshape(p.shape[1:])
+    counts.setflags(write=False)
+    return Palette(colours=colours, index=index, counts=counts)
 
 
 def copy_pixels(img: RgbImage, out: np.ndarray) -> None:

@@ -212,6 +212,13 @@ def match_image(dets: Sequence[Detection], gts: Sequence[GroundTruthBox]) -> Ima
     match. A detection so absorbed is not counted, nor, per COCO, is an
     unmatched one outside the stratum's area range.
     """
+    if not dets:
+        n_gt = [sum(lo <= g.box.area < hi for g in gts) for lo, hi in _STRATA.values()]
+        return ImageMatches(
+            scores=np.empty(0),
+            status=np.empty((len(_STRATA), len(IOU_THRESHOLDS), 0), dtype=np.int8),
+            n_gt=np.array(n_gt),
+        )
     ious = [[iou(d.box, g.box) for g in gts] for d in dets]
     det_order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     status = np.full((len(_STRATA), len(IOU_THRESHOLDS), len(dets)), -1, dtype=np.int8)

@@ -153,16 +153,22 @@ class TestTrainRunEvaluate:
 
 
 class TestDeterminism:
-    """Same seed, same bytes: weights, training logs and report."""
+    """Same seed, same bytes: weights, training logs and report, on gray
+    scenes and on tinted ones, whose frames render their own palettes."""
 
-    def test_train_and_evaluate_twice(self, tmp_path, tiny_config_file):
+    @pytest.mark.parametrize("tint", [0.0, 0.25], ids=["gray", "tinted"])
+    def test_train_and_evaluate_twice(self, tmp_path, tiny_config_file, tint):
+        cfg = json.loads(Path(tiny_config_file).read_text())
+        cfg["scene"]["tint_strength"] = tint
+        config = tmp_path / "determinism.json"
+        config.write_text(json.dumps(cfg))
         outputs = []
         for run in ("a", "b"):
             weights, reports = tmp_path / run / "w", tmp_path / run / "r"
-            assert run_cli("--config", tiny_config_file, "--seed", "7", "train", "--out", str(weights)) == 0
+            assert run_cli("--config", str(config), "--seed", "7", "train", "--out", str(weights)) == 0
             assert (
                 run_cli(
-                    "--config", tiny_config_file, "--seed", "7",
+                    "--config", str(config), "--seed", "7",
                     "evaluate", "--modes", "FR,B4,BS4", "--weights", str(weights),
                     "--out", str(reports),
                 )

@@ -18,6 +18,7 @@ from rlaod.environment import (
 from rlaod.environment import detector as detector_module
 from rlaod.environment import episode as episode_module
 from rlaod.errors import ContractViolation
+from rlaod.imaging import color as color_module
 from rlaod.imaging import (
     THETA,
     AttributeAction,
@@ -248,24 +249,27 @@ class TestStep:
             slow, _, _, _ = step_episode(slow, a_b, a_s)
             assert np.array_equal(fast.current_image.pixels, slow.current_image.pixels)
             assert fast.last_p == slow.last_p
-        assert fast.hsv0 is None and slow.hsv0 is not None
+        # The gray original renders its 256 values; the three-plane one its
+        # own distinct colours.
+        assert len(fast.palette.colours.planes) == 1
+        assert len(slow.palette.colours.planes) == 3
 
     def test_tinted_render_matches_per_call_formula(self, detector):
-        # Hue weights are computed once per episode, on the first RGB render;
-        # every frame must equal a per-pixel render of the original's V
-        # plane, converted afresh, bit for bit.
+        # The palette's colours are converted once per episode, on its first
+        # render; every frame must equal a per-pixel render of the original's
+        # V plane, converted afresh, bit for bit.
         from dataclasses import replace
 
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 6)
-        assert len(scene.image.planes) == 3 and ep.hue_weights is None
+        assert len(scene.image.planes) == 3 and ep.palette_weights is None
         hsv = rgb_to_hsv(scene.image)
         B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
         zi, zo = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
         for a_b, a_s in [(None, zo), (B, zi), (B, None), (None, zi), (D, zo), (B, zo)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
-            assert ep.hue_weights is not None
+            assert ep.palette_weights is not None
             v = per_pixel_render(scene.image, ep.level_b)
             rgb = RgbImage.from_pixels(per_call_hsv_to_rgb(hsv.h, hsv.s, v))
             want = resize_bilinear(rgb, ep.cumulative_scale_factor)
@@ -280,8 +284,9 @@ class TestStep:
 
 
 class TestResetSkipsHsv:
-    """Only an RGB render needs the original image's HSV: resets and gray
-    episodes never convert, and a tinted episode converts once."""
+    """Only a render needs HSV: a reset never converts or factors the image,
+    and an episode converts its palette's colours once, on its first render.
+    The palette is factored once per image and shared by its episodes."""
 
     B, D = AttributeAction.BRIGHTEN, AttributeAction.DARKEN
     ZI, ZO = AttributeAction.ZOOM_IN, AttributeAction.ZOOM_OUT
@@ -298,29 +303,56 @@ class TestResetSkipsHsv:
         monkeypatch.setattr(episode_module, "rgb_to_hsv", counting)
         return calls
 
-    def test_gray_episode(self, detector, conversions):
+    @pytest.fixture
+    def factorings(self, monkeypatch):
+        calls = []
+        factor = color_module.factor_palette
+
+        def counting(img):
+            calls.append(img)
+            return factor(img)
+
+        monkeypatch.setattr(color_module, "factor_palette", counting)
+        return calls
+
+    def test_gray_episode(self, detector, conversions, factorings):
         scene = degrade(generate_scene(13, PARAMS), DegradeOp(DegradeKind.OVER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 4)
-        assert len(scene.image.planes) == 1 and ep.hsv0 is None
-        assert conversions == []
+        assert len(scene.image.planes) == 1 and ep.palette is None
+        assert conversions == [] and factorings == []
         for a_b, a_s in [(self.B, self.ZI), (self.D, None), (None, self.ZO), (self.D, self.ZO)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
-        assert conversions == [] and ep.hsv0 is None
+        # The 256 gray values, converted once.
+        assert factorings == [scene.image]
+        assert len(conversions) == 1 and conversions[0] is ep.palette.colours
+        assert conversions[0].planes.shape == (1, 1, 256)
 
-    def test_tinted_reset(self, detector, conversions):
+    def test_tinted_reset(self, detector, conversions, factorings):
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         ep = reset_episode(scene, detector, 4)
-        assert len(scene.image.planes) == 3 and ep.hsv0 is None
-        assert conversions == []
+        assert len(scene.image.planes) == 3 and ep.palette is None
+        assert conversions == [] and factorings == []
 
-    def test_tinted_episode_converts_once(self, detector, conversions):
+    def test_tinted_episode_converts_once(self, detector, conversions, factorings):
         scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
         scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
         ep = reset_episode(scene, detector, 5)
         for a_b, a_s in [(self.B, None), (self.B, self.ZI), (None, self.ZO), (self.D, None), (self.B, self.ZO)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
-        assert len(conversions) == 1 and conversions[0] is scene.image
-        assert ep.hsv0 is not None
+        assert len(conversions) == 1 and conversions[0] is scene.image.palette.colours
+        assert ep.palette is scene.image.palette
+        assert factorings == [scene.image]
+
+    def test_two_episodes_factor_once(self, detector, conversions, factorings):
+        scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
+        eps = [reset_episode(scene, detector, 2) for _ in range(2)]
+        assert factorings == []
+        eps = [step_episode(ep, self.B, self.ZO)[0] for ep in eps]
+        assert factorings == [scene.image]
+        assert eps[0].palette is eps[1].palette is scene.image.palette
+        # Each episode converts the shared colours itself.
+        assert len(conversions) == 2
+        assert np.array_equal(eps[0].current_image.planes, eps[1].current_image.planes)
 
 
 class TestTowardNominalPolicy:

@@ -152,8 +152,8 @@ class TestProducers:
 
 
 class TestEpisodeOnFullArray:
-    """A gray scene stored as three equal planes takes the colour path of
-    step_episode (rgb_to_hsv, then hsv_to_rgb) with the gray path's bits."""
+    """A gray scene stored as three equal planes renders its own palette of
+    three-plane colours, not the 256 gray values, with the gray path's bits."""
 
     def test_bs_steps_match_view(self):
         detector = OracleDetector()
@@ -175,7 +175,7 @@ class TestEpisodeOnFullArray:
             assert np.array_equal(a.current_image.pixels, b.current_image.pixels)
             assert same_bits(a.current_v, b.current_v)
             assert a.last_p == b.last_p
-        assert a.hsv0 is None and b.hsv0 is not None
+        assert len(a.palette.colours.planes) == 1 and len(b.palette.colours.planes) == 3
 
 
 class TestGrayEpisodeMatchesFullReference:

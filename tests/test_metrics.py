@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlaod.metrics import (
@@ -417,11 +417,28 @@ def _ap_images(draw):
     return dets, gts
 
 
+# An image with truths of every stratum and no detection, between two with
+# detections.
+_NO_DETECTIONS = (
+    [],
+    [
+        GroundTruthBox(Box2D(0.0, 0.0, 16.0, 16.0), 0),
+        GroundTruthBox(Box2D(8.0, 8.0, 72.0, 48.0), 1),
+        GroundTruthBox(Box2D(0.0, 0.0, 128.0, 96.0), 0),
+    ],
+)
+_ONE_MATCH = (
+    [Detection(Box2D(0.0, 0.0, 16.0, 24.0), 0.9, 0)],
+    [GroundTruthBox(Box2D(0.0, 0.0, 16.0, 16.0), 0)],
+)
+
+
 class TestAccumulateAp:
     @given(
         images=st.lists(_ap_images(), min_size=1, max_size=4),
         picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
     )
+    @example(images=[_ONE_MATCH, _NO_DETECTIONS, ([], [])], picks=[0, 1, 2, 1])
     @settings(deadline=None)
     def test_multiset_equals_evaluate_ap_on_repeated_lists(self, images, picks):
         idx = [i % len(images) for i in picks]
@@ -439,3 +456,9 @@ class TestAccumulateAp:
 
     def test_empty_multiset_is_all_none(self):
         assert accumulate_ap([]) == ApReport(None, None, None, None, None, None)
+
+    def test_no_detections_counts_truths_per_stratum(self):
+        m = match_image(*_NO_DETECTIONS)
+        assert m.scores.shape == (0,) and m.scores.dtype.kind == "f"
+        assert m.status.shape == (4, 10, 0) and m.status.dtype.name == "int8"
+        assert m.n_gt.tolist() == [3, 1, 1, 1]  # all, small, medium, large

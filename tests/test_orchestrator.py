@@ -8,6 +8,7 @@ from rlaod.agent import init_params, load_params
 from rlaod.environment import OracleDetector, SceneParams, generate_scene
 from rlaod.errors import ConfigError, ImageFormatError, WeightFormatError
 from rlaod.features import STATE_DIM, StateKind
+from rlaod.imaging import color
 from rlaod.orchestrator import (
     AgentBundle,
     EvalMode,
@@ -313,6 +314,23 @@ class TestEvaluation:
         results = evaluate_modes(cfg, [EvalMode.FR_STAR, EvalMode.FR], bundle)
         assert results[EvalMode.FR_STAR].n_images == 3
         assert results[EvalMode.FR].n_images == 15
+
+    def test_bs4_after_b4_equals_fresh_images(self, tiny_bundle, monkeypatch):
+        # B4 leaves each tinted image's palette cached on it; BS4 on those
+        # images must score as it does on images that never rendered.
+        bundle, cfg = tiny_bundle
+        cfg = dataclasses.replace(cfg, n_eval_scenes=2)
+        cfg.scene = dataclasses.replace(cfg.scene, tint_strength=0.25)
+        detector = OracleDetector(cfg.calibration)
+        images, fresh = build_eval_set(cfg), build_eval_set(cfg)
+        evaluate_mode(EvalMode.B4, images, bundle, detector)
+        factorings = []
+        factor = color.factor_palette
+        monkeypatch.setattr(color, "factor_palette", lambda img: factorings.append(img) or factor(img))
+        want = evaluate_mode(EvalMode.BS4, fresh, bundle, detector)
+        assert len(factorings) == len(fresh)
+        assert evaluate_mode(EvalMode.BS4, images, bundle, detector) == want
+        assert len(factorings) == len(fresh)
 
     def test_fr_never_invokes_agents(self):
         class ExplodingParams:

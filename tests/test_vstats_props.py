@@ -1,8 +1,9 @@
 """Property tests for the per-frame V statistics and the oracle's draws.
 
 A uint8 V plane is read through its 256 value counts, and an episode frame
-through a 256-entry render table; every result must have the bits of the
-float64 path on the whole plane. The oracle's memoised per-truth draws must
+through a 256-entry render table and the image's palette of distinct
+colours; every result must have the bits of the float64 path on the whole
+plane. The oracle's memoised per-truth draws must
 equal the hash formulas they replace, and every box a reader accepts must
 have a finite area.
 
@@ -25,8 +26,13 @@ from rlaod.imaging import (
     RgbImage,
     estimate_brightness_level,
     fit_brightness_base,
+    hsv_to_rgb,
+    hue_weights,
     level_from_counts,
+    merge_v_channel,
     render_brightness,
+    rgb_to_hsv,
+    value_channel,
     value_counts,
     write_ppm,
 )
@@ -114,6 +120,65 @@ def test_table_render_matches_plane_render(h, w, kind, seed, fit_level, level):
     assert level_from_counts(pushed.astype(np.int64)) == estimate_brightness_level(
         gray.astype(np.float64)
     )
+
+
+def _image(h: int, w: int, kind: str, seed: int) -> RgbImage:
+    rng = np.random.default_rng(seed)
+    if kind == "tinted":  # few colours, as in tinted scenes
+        colours = rng.integers(0, 256, (3, int(rng.integers(1, 9))), dtype=np.uint8)
+        return RgbImage(np.take(colours, rng.integers(0, colours.shape[1], (h, w)), axis=1))
+    if kind == "noise":  # nearly every pixel its own colour
+        return RgbImage(rng.integers(0, 256, (3, h, w), dtype=np.uint8))
+    if kind == "equal":  # three equal planes: frames come out one plane
+        return RgbImage(np.repeat(_plane(h, w, "random", seed)[None], 3, axis=0))
+    return RgbImage(_plane(h, w, "few", seed)[None])
+
+
+@given(
+    h=_SIDES,
+    w=_SIDES,
+    kind=st.sampled_from(["tinted", "noise", "equal", "gray"]),
+    seed=st.integers(0, 2**32 - 1),
+    fit_level=_LEVELS,
+    level=_LEVELS,
+)
+@example(h=1, w=1, kind="tinted", seed=0, fit_level=0.0, level=1.0)
+@example(h=1, w=1, kind="noise", seed=1, fit_level=-1.0, level=0.0)
+@example(h=1, w=1, kind="equal", seed=2, fit_level=FIT_LEVEL_LIMIT, level=-1.0)
+@example(h=1, w=1, kind="gray", seed=3, fit_level=1.0, level=-FIT_LEVEL_LIMIT)
+@example(h=MAX_SIDE, w=MAX_SIDE, kind="noise", seed=4, fit_level=-FIT_LEVEL_LIMIT, level=FIT_LEVEL_LIMIT)
+@settings(deadline=None)
+def test_palette_render_matches_pixel_render(h, w, kind, seed, fit_level, level):
+    # An episode renders its original's distinct colours and reads them back
+    # at each pixel; that must give the bits of hsv_to_rgb on every pixel.
+    img = _image(h, w, kind, seed)
+    palette = img.palette
+    # A colour image keeps its palette; a gray one rebuilds it.
+    assert (img.palette is palette) == (len(img.planes) == 3)
+    assert palette.index.dtype == np.intp and palette.index.shape == (h, w)
+    rebuilt = palette.gather(palette.colours)
+    assert rebuilt.planes.shape == img.planes.shape
+    assert rebuilt.planes.tobytes() == img.planes.tobytes()
+    assert np.array_equal(img.v_counts, value_counts(value_channel(img)))
+    n_colours = palette.colours.planes.shape[2]
+    assert np.array_equal(palette.counts, np.bincount(palette.index.ravel(), minlength=n_colours))
+    if kind == "noise":
+        assert n_colours == len(np.unique(img.planes.reshape(3, -1), axis=1).T)
+
+    table = render_brightness(fit_brightness_base(np.arange(256.0), fit_level), level)
+    hsv = rgb_to_hsv(palette.colours)
+    v = np.take(table, value_channel(palette.colours))
+    colours = hsv_to_rgb(merge_v_channel(hsv, v), hue_weights(hsv.h))
+    frame = palette.gather(colours)
+    want = hsv_to_rgb(merge_v_channel(rgb_to_hsv(img), np.take(table, value_channel(img))))
+    assert frame.planes.shape == want.planes.shape
+    assert frame.planes.tobytes() == want.planes.tobytes()
+    if kind in ("equal", "gray"):
+        assert len(frame.planes) == 1
+    # Pushing the palette's counts through the rendered colours' V counts
+    # the frame.
+    pushed = np.bincount(value_channel(colours)[0], weights=palette.counts, minlength=256)
+    assert np.array_equal(pushed, value_counts(value_channel(frame)))
 
 
 def _area_histogram_loop(detections, min_score=0.5):
