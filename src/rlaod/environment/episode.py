@@ -46,7 +46,6 @@ from ..imaging import (
     update_brightness_level,
     update_scale_level,
     value_channel,
-    value_counts,
 )
 from ..metrics import performance_score, reward
 from .detector import DetectorOutput
@@ -54,8 +53,8 @@ from .scene import Scene, resized_truths
 
 # The values a uint8 V plane can take, in order: the brightness base is
 # fitted on them.
-_VALUES = np.arange(N_VALUES, dtype=np.float64)
-_VALUES.setflags(write=False)
+V_VALUES = np.arange(N_VALUES, dtype=np.float64)
+V_VALUES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class EpisodeState:
     horizon: int
     current_image: RgbImage
     current_v: np.ndarray  # uint8 V plane of current_image
-    counts: np.ndarray  # value_counts(current_v)
     last_output: DetectorOutput
     last_p: float
     # The brightness render at level_b, once a step made one; steps that
@@ -97,17 +95,33 @@ def detection_mean_area(
     return float(np.mean(areas))
 
 
+def convert_palette(image: RgbImage) -> tuple[Palette, HsvImage, np.ndarray | None]:
+    """The image's palette, its colours' HSV and their hue weights (None
+    where S is zero everywhere: hsv_to_rgb then reads none)."""
+    palette = image.palette
+    hsv = rgb_to_hsv(palette.colours)
+    return palette, hsv, hue_weights(hsv.h) if hsv.s.any() else None
+
+
+def render_frame(
+    palette: Palette, hsv: HsvImage, weights: np.ndarray | None, table: np.ndarray
+) -> RgbImage:
+    """The image of ``palette`` with each colour's V replaced by its entry
+    in ``table``, a render of the 256 V values; the frame has its V counts."""
+    v = np.take(table, value_channel(palette.colours))
+    return palette.gather(hsv_to_rgb(merge_v_channel(hsv, v), weights))
+
+
 def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
     """Run the detector once, fit the brightness base and read both levels."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     v = value_channel(scene.image)
-    counts = scene.image.v_counts
-    level_b = level_from_counts(counts)
+    level_b = level_from_counts(scene.image.v_counts)
     output = detector.detect(
         scene.image, scene.truths, scene.seed, precomputed_v=v, precomputed_level=level_b
     )
-    brightness = fit_brightness_base(_VALUES, level_b)
+    brightness = fit_brightness_base(V_VALUES, level_b)
     level_s = estimate_scale_level(detection_mean_area(output))
 
     return EpisodeState(
@@ -121,7 +135,6 @@ def reset_episode(scene: Scene, detector, horizon: int) -> EpisodeState:
         horizon=horizon,
         current_image=scene.image,
         current_v=v,
-        counts=counts,
         last_output=output,
         last_p=performance_score(output.detections, scene.truths),
     )
@@ -155,28 +168,15 @@ def step_episode(
     # Brightness first, then a single resize from the original frame.
     scene = state.original
     palette, hsv, weights = state.palette, state.palette_hsv, state.palette_weights
-    counts = None  # the frame's value counts, where the render gives them
     if state.frame is not None and level_b == state.level_b:
         frame = state.frame
     else:
         table = render_brightness(state.brightness, level_b)
         if palette is None:
-            palette = scene.image.palette
-            hsv = rgb_to_hsv(palette.colours)
-            # hsv_to_rgb reads no weights where S is zero everywhere.
-            weights = hue_weights(hsv.h) if hsv.s.any() else None
-        v = np.take(table, value_channel(palette.colours))
-        colours = hsv_to_rgb(merge_v_channel(hsv, v), weights)
-        frame = palette.gather(colours)
-        # Each colour's pixels move to its rendered V as a whole, so the
-        # counts are exact integers in float64.
-        counts = np.bincount(
-            value_channel(colours)[0], weights=palette.counts, minlength=N_VALUES
-        ).astype(np.int64)
+            palette, hsv, weights = convert_palette(scene.image)
+        frame = render_frame(palette, hsv, weights, table)
     image = resize_bilinear(frame, cumulative)
     current_v = value_channel(image)
-    if counts is None or image.planes.shape != frame.planes.shape:
-        counts = value_counts(current_v)
     truths = resized_truths(scene, cumulative, image.width, image.height)
 
     output = state.detector.detect(
@@ -184,7 +184,7 @@ def step_episode(
         truths,
         scene.seed,
         precomputed_v=current_v,
-        precomputed_level=level_from_counts(counts),
+        precomputed_level=level_from_counts(image.v_counts),
     )
     p_next = performance_score(output.detections, truths)
     r = reward(p_next, state.last_p)
@@ -196,7 +196,6 @@ def step_episode(
         step=state.step + 1,
         current_image=image,
         current_v=current_v,
-        counts=counts,
         last_output=output,
         last_p=p_next,
         frame=frame,

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..imaging import (
+    MAX_SIDE,
     RgbImage,
     estimate_brightness_level,
     fit_brightness_base,
@@ -37,6 +38,9 @@ class SceneParams:
     def __post_init__(self):
         if self.width < 16 or self.height < 16:
             raise ValueError("scene must be at least 16x16")
+        if self.width > MAX_SIDE or self.height > MAX_SIDE:
+            # Frames are clamped to MAX_SIDE; truths would not follow them.
+            raise ValueError(f"scene must be at most {MAX_SIDE}x{MAX_SIDE}")
         lo, hi = self.count_range
         if not (0 <= lo <= hi):
             raise ValueError(f"bad count range {self.count_range}")

@@ -121,8 +121,15 @@ class Palette:
 
     def gather(self, colours: RgbImage) -> RgbImage:
         """The image whose pixels are ``colours`` (one per palette colour,
-        (C', 1, U)) read at ``index``."""
-        return RgbImage(np.take(colours.planes[:, 0], self.index, axis=1))
+        (C', 1, U)) read at ``index``, with its ``v_counts`` filled in: the
+        palette's counts moved to each colour's V, exact in float64."""
+        image = RgbImage(np.take(colours.planes[:, 0], self.index, axis=1))
+        counts = np.bincount(
+            value_channel(colours)[0], weights=self.counts, minlength=256
+        ).astype(np.int64)
+        counts.setflags(write=False)
+        image.__dict__["v_counts"] = counts  # fills the cached_property
+        return image
 
 
 def factor_palette(img: RgbImage) -> Palette:

@@ -76,11 +76,11 @@ def resize_bilinear(img: RgbImage, factor: float) -> RgbImage:
 
     Each plane resamples on its own, so a gray image stays one plane.
     Bilinear weights are per channel, so the bits equal a three-channel
-    resample.
+    resample. An unchanged size returns the image itself, caches and all.
     """
     out_w, out_h = scaled_dims(img.width, img.height, factor)
     if (out_w, out_h) == (img.width, img.height):
-        return RgbImage(img.planes.copy())
+        return img
     out = np.empty((len(img.planes), out_h, out_w), dtype=np.uint8)
     # One call per plane keeps the float64 temporaries one plane in size;
     # a single call on the stacked planes is faster only on small outputs.

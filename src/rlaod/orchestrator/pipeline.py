@@ -77,7 +77,7 @@ def agent_state(ep: EpisodeState, kind: StateKind) -> StateVector:
     """Assemble one agent's 576-value state from the episode's last pass."""
     ctx = reduce_context(ep.last_output.context)
     if kind is StateKind.BRIGHTNESS:
-        return assemble_state(ctx, brightness_histogram(ep.counts), kind)
+        return assemble_state(ctx, brightness_histogram(ep.current_image.v_counts), kind)
     return assemble_state(
         ctx, gaussian_smooth(area_histogram(ep.last_output.detections)), kind
     )

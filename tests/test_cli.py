@@ -8,6 +8,7 @@ import pytest
 
 from rlaod.agent import init_params
 from rlaod.features import STATE_DIM
+from rlaod.imaging import RgbImage, write_ppm
 from rlaod.orchestrator import AgentBundle, build_eval_set, load_config, load_dataset
 from rlaod.orchestrator.cli import main
 
@@ -418,6 +419,37 @@ class TestExitCodes:
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "run", "degrade"])
+    def test_image_beyond_max_side_is_2(self, tmp_path, tiny_config_file, capsys, command):
+        # Frames are clamped to 4096 pixels a side, and truths would not
+        # follow the clamp, so a wider image is refused before any work.
+        data = tmp_path / "data"
+        data.mkdir()
+        write_ppm(RgbImage(np.zeros((1, 8, 4097), dtype=np.uint8)), data / "wide.ppm")
+        manifest = {"images": [{"id": 0, "file": "wide.ppm", "width": 4097, "height": 8}]}
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        weights = tmp_path / "w"
+        sizes = (STATE_DIM, 8, 2)
+        AgentBundle(init_params(sizes, seed=1), init_params(sizes, seed=2)).save(weights)
+        args = {
+            "evaluate": ("evaluate", "--modes", "FR"),
+            "run": ("run", "--weights", str(weights)),
+            "degrade": ("degrade",),
+        }[command]
+        out = tmp_path / "r"
+        assert run_cli("--config", tiny_config_file, *args, "--data", str(data), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "wide.ppm is 4097x8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_image_at_max_side_loads(self, tmp_path):
+        write_ppm(RgbImage(np.zeros((1, 8, 4096), dtype=np.uint8)), tmp_path / "wide.ppm")
+        manifest = {"images": [{"id": 0, "file": "wide.ppm", "width": 4096, "height": 8}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (scene,) = load_dataset(tmp_path)
+        assert (scene.image.width, scene.image.height) == (4096, 8)
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -486,9 +518,10 @@ class TestExitCodes:
             ('{"detector": "external", "endpoint": 5}', EVALUATE_FR),
             ("{}", ("--seed", "-5", "gen-data", "--n", "2")),
             ("{}", ("--seed", str(2**64 - 1), "gen-data", "--n", "2")),
+            ('{"scene": {"width": 4097}}', EVALUATE_FR),
         ],
         ids=["seed-fraction", "jitter-str", "projection-seed-neg", "area-range-inf",
-             "endpoint-int", "seed-neg", "seed-2**64-1"],
+             "endpoint-int", "seed-neg", "seed-2**64-1", "scene-width-4097"],
     )
     def test_bad_config_value_is_2(self, tmp_path, capsys, config, args):
         path = tmp_path / "config.json"

@@ -116,7 +116,7 @@ class TestReset:
         for ep, (image, truths, seed, kw) in zip(episodes, passes):
             v = value_channel(image)
             assert np.array_equal(kw["precomputed_v"], v)
-            assert np.array_equal(ep.counts, np.bincount(v.ravel(), minlength=256))
+            assert np.array_equal(ep.current_image.v_counts, np.bincount(v.ravel(), minlength=256))
             assert kw["precomputed_level"] == estimate(v.astype(np.float64))
             want = detector.detect(image, truths, seed)
             assert ep.last_output.detections == want.detections
@@ -317,6 +317,9 @@ class TestResetSkipsHsv:
 
     def test_gray_episode(self, detector, conversions, factorings):
         scene = degrade(generate_scene(13, PARAMS), DegradeOp(DegradeKind.OVER_EXPOSE, 0.5))
+        # degrade renders on the clean image's palette; count from here on.
+        conversions.clear()
+        factorings.clear()
         ep = reset_episode(scene, detector, 4)
         assert len(scene.image.planes) == 1 and ep.palette is None
         assert conversions == [] and factorings == []
@@ -334,13 +337,21 @@ class TestResetSkipsHsv:
         assert conversions == [] and factorings == []
 
     def test_tinted_episode_converts_once(self, detector, conversions, factorings):
-        scene = generate_scene(9, replace(PARAMS, tint_strength=0.25))
-        scene = degrade(scene, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
+        clean = generate_scene(9, replace(PARAMS, tint_strength=0.25))
+        scene = degrade(clean, DegradeOp(DegradeKind.UNDER_EXPOSE, 0.5))
+        # degrade factors and converts the clean image; count from here on.
+        assert factorings == [clean.image] and len(conversions) == 1
+        conversions.clear()
+        factorings.clear()
         ep = reset_episode(scene, detector, 5)
+        assert conversions == [] and factorings == []
         for a_b, a_s in [(self.B, None), (self.B, self.ZI), (None, self.ZO), (self.D, None), (self.B, self.ZO)]:
             ep, _, _, _ = step_episode(ep, a_b, a_s)
         assert len(conversions) == 1 and conversions[0] is scene.image.palette.colours
         assert ep.palette is scene.image.palette
+        assert factorings == [scene.image]
+        # An episode on the clean image shares the factorization degrade made.
+        step_episode(reset_episode(clean, detector, 1), self.B, None)
         assert factorings == [scene.image]
 
     def test_two_episodes_factor_once(self, detector, conversions, factorings):

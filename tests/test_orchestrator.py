@@ -322,15 +322,18 @@ class TestEvaluation:
         cfg = dataclasses.replace(cfg, n_eval_scenes=2)
         cfg.scene = dataclasses.replace(cfg.scene, tint_strength=0.25)
         detector = OracleDetector(cfg.calibration)
-        images, fresh = build_eval_set(cfg), build_eval_set(cfg)
-        evaluate_mode(EvalMode.B4, images, bundle, detector)
         factorings = []
         factor = color.factor_palette
         monkeypatch.setattr(color, "factor_palette", lambda img: factorings.append(img) or factor(img))
+        images, fresh = build_eval_set(cfg), build_eval_set(cfg)
+        evaluate_mode(EvalMode.B4, images, bundle, detector)
         want = evaluate_mode(EvalMode.BS4, fresh, bundle, detector)
-        assert len(factorings) == len(fresh)
+        # Each image is factored once: degrade factors a clean image, and the
+        # episodes on it reuse that palette.
+        every = [im.scene.image for im in images + fresh]
+        assert sorted(map(id, factorings)) == sorted(map(id, every))
         assert evaluate_mode(EvalMode.BS4, images, bundle, detector) == want
-        assert len(factorings) == len(fresh)
+        assert len(factorings) == len(every)
 
     def test_fr_never_invokes_agents(self):
         class ExplodingParams:

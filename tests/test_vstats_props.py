@@ -1,9 +1,9 @@
 """Property tests for the per-frame V statistics and the oracle's draws.
 
 A uint8 V plane is read through its 256 value counts, and an episode frame
-through a 256-entry render table and the image's palette of distinct
-colours; every result must have the bits of the float64 path on the whole
-plane. The oracle's memoised per-truth draws must
+or an exposure degradation through a 256-entry render table and the image's
+palette of distinct colours; every result must have the bits of the float64
+path on the whole plane. The oracle's memoised per-truth draws must
 equal the hash formulas they replace, and every box a reader accepts must
 have a finite area.
 
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rlaod.environment import DegradeKind, DegradeOp, Scene, degrade
 from rlaod.environment.detector import _truth_draws
 from rlaod.environment.external import ExternalDetector
 from rlaod.errors import ConfigError, ProtocolError
@@ -131,6 +132,8 @@ def _image(h: int, w: int, kind: str, seed: int) -> RgbImage:
         return RgbImage(rng.integers(0, 256, (3, h, w), dtype=np.uint8))
     if kind == "equal":  # three equal planes: frames come out one plane
         return RgbImage(np.repeat(_plane(h, w, "random", seed)[None], 3, axis=0))
+    if kind in ("black", "white"):  # constant at either end of V
+        return RgbImage(np.full((1, h, w), 0 if kind == "black" else 255, dtype=np.uint8))
     return RgbImage(_plane(h, w, "few", seed)[None])
 
 
@@ -175,10 +178,45 @@ def test_palette_render_matches_pixel_render(h, w, kind, seed, fit_level, level)
     assert frame.planes.tobytes() == want.planes.tobytes()
     if kind in ("equal", "gray"):
         assert len(frame.planes) == 1
-    # Pushing the palette's counts through the rendered colours' V counts
-    # the frame.
-    pushed = np.bincount(value_channel(colours)[0], weights=palette.counts, minlength=256)
-    assert np.array_equal(pushed, value_counts(value_channel(frame)))
+    # The frame carries its V counts: the palette's counts pushed through
+    # the rendered colours' V.
+    assert not frame.v_counts.flags.writeable
+    assert np.array_equal(frame.v_counts, value_counts(value_channel(frame)))
+
+
+def _reference_exposure(img: RgbImage, level: float) -> RgbImage:
+    """Exposure rendered on the whole image: every pixel to HSV, the base
+    fitted on the float V plane at its own level, back to RGB."""
+    hsv = rgb_to_hsv(img)
+    model = fit_brightness_base(hsv.v, estimate_brightness_level(hsv.v))
+    return hsv_to_rgb(merge_v_channel(hsv, render_brightness(model, level)))
+
+
+@given(
+    h=_SIDES,
+    w=_SIDES,
+    kind=st.sampled_from(["noise", "equal", "gray", "tinted", "black", "white"]),
+    seed=st.integers(0, 2**32 - 1),
+    op_kind=st.sampled_from([DegradeKind.OVER_EXPOSE, DegradeKind.UNDER_EXPOSE]),
+    magnitude=st.sampled_from([0.0, 0.4, 0.8]),
+)
+@example(h=1, w=1, kind="noise", seed=0, op_kind=DegradeKind.OVER_EXPOSE, magnitude=0.8)
+@example(h=1, w=1, kind="equal", seed=1, op_kind=DegradeKind.UNDER_EXPOSE, magnitude=0.4)
+@example(h=1, w=1, kind="black", seed=2, op_kind=DegradeKind.OVER_EXPOSE, magnitude=0.4)
+@example(h=1, w=1, kind="white", seed=3, op_kind=DegradeKind.UNDER_EXPOSE, magnitude=0.8)
+@example(h=MAX_SIDE, w=MAX_SIDE, kind="noise", seed=4, op_kind=DegradeKind.UNDER_EXPOSE, magnitude=0.8)
+@settings(deadline=None)
+def test_exposure_degrade_matches_whole_image_render(h, w, kind, seed, op_kind, magnitude):
+    # degrade renders exposure on the image's palette, as an episode step
+    # renders a frame; that must give the bits of the whole-image render.
+    img = _image(h, w, kind, seed)
+    scene = Scene(image=img, truths=[], seed=seed, nominal_level_b=0.0, nominal_mean_area=0.0)
+    out = degrade(scene, DegradeOp(op_kind, magnitude)).image
+    level = magnitude if op_kind is DegradeKind.OVER_EXPOSE else -magnitude
+    want = _reference_exposure(img, level)
+    assert out.planes.shape == want.planes.shape
+    assert out.planes.tobytes() == want.planes.tobytes()
+    assert np.array_equal(out.v_counts, value_counts(value_channel(out)))
 
 
 def _area_histogram_loop(detections, min_score=0.5):
