@@ -7,7 +7,15 @@ Response (one line): {"id": <int>,
                       "context": [<float> x 512 or 1024]}
 
 Transport is a child process speaking on stdio (default) or a TCP
-connection; either way one request is outstanding at a time.
+connection; either way one request is outstanding at a time, and
+`timeout` bounds the whole response, not each read.
+
+Frame file: each detector keeps one uniquely named frame file in its work
+directory and rewrites it in place for every request, so every request
+names the same path. A detector must read the image before it answers;
+the next request overwrites it. The file is removed when a request fails
+(write, exchange or parse) and when the detector closes; the next request
+after a failure makes a new one.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import shutil
 import socket
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -56,13 +65,16 @@ class _LineChannel:
             raise ProtocolError(f"cannot connect to detector {where}: {exc}") from exc
 
     def exchange(self, line: bytes, timeout: float) -> bytes:
-        """Send one line and return the next line received."""
+        """Send one line and return the next line received, all within
+        `timeout` seconds."""
         data = line + b"\n"
+        deadline = time.monotonic() + timeout
         try:
             while data:
                 data = data[os.write(self._out, data):]
             while b"\n" not in self._buf:
-                ready, _, _ = select.select([self._in], [], [], timeout)
+                left = deadline - time.monotonic()
+                ready = left > 0 and select.select([self._in], [], [], left)[0]
                 if not ready:
                     raise ProtocolError(f"detector response timed out after {timeout}s")
                 chunk = os.read(self._in, 65536)
@@ -113,6 +125,41 @@ class ExternalDetector:
         self._owns_workdir = workdir is None
         self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="rlaod_"))
         self._workdir.mkdir(parents=True, exist_ok=True)
+        self._frame = None  # the open frame file, made by the first request
+
+    def _write_frame(self, image: RgbImage) -> str:
+        """Rewrite the frame file in place with `image`; return its path."""
+        if self._frame is None:
+            try:
+                self._frame = tempfile.NamedTemporaryFile(
+                    prefix="frame_", suffix=f".{self.image_format}", dir=self._workdir,
+                    delete=False,
+                )
+            except OSError as exc:
+                raise ProtocolError(f"cannot make a frame file in {self._workdir}: {exc}") from exc
+        frame = self._frame
+        try:
+            # Overwrite, then cut at the new end: truncating to zero first
+            # makes the file system free and reallocate the blocks.
+            frame.seek(0)
+            if self.image_format == "ppm":
+                write_ppm(image, frame)
+            else:
+                write_png(image, frame)
+            frame.truncate()
+        except OSError as exc:
+            raise ProtocolError(f"cannot write frame {frame.name}: {exc}") from exc
+        return frame.name
+
+    def _drop_frame(self) -> None:
+        """Close and remove the frame file, if there is one."""
+        frame, self._frame = self._frame, None
+        if frame is not None:
+            try:
+                frame.close()
+            except OSError:
+                pass  # a frame that could not be flushed is removed all the same
+            Path(frame.name).unlink(missing_ok=True)
 
     def detect(
         self,
@@ -127,21 +174,17 @@ class ExternalDetector:
         oracle and external detectors are call-compatible."""
         req_id = self._next_id
         self._next_id += 1
-        path = self._workdir / f"frame_{req_id}.{self.image_format}"
         try:
-            if self.image_format == "ppm":
-                write_ppm(image, path)
-            else:
-                write_png(image, path)
-            request = json.dumps({"id": req_id, "image": str(path)})
+            request = json.dumps({"id": req_id, "image": self._write_frame(image)})
             line = self._channel.exchange(request.encode("utf-8"), self.timeout)
-        finally:
-            path.unlink(missing_ok=True)
-        try:
-            payload = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # covers decode errors and over-long integers
-            raise ProtocolError(f"malformed detector response: {exc}") from exc
-        return self._parse(payload, req_id)
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:  # covers decode errors and over-long integers
+                raise ProtocolError(f"malformed detector response: {exc}") from exc
+            return self._parse(payload, req_id)
+        except BaseException:
+            self._drop_frame()
+            raise
 
     @staticmethod
     def _parse(payload, req_id: int) -> DetectorOutput:
@@ -178,6 +221,7 @@ class ExternalDetector:
         return DetectorOutput(detections=detections, context=reduce_context(context))
 
     def close(self) -> None:
+        self._drop_frame()
         self._channel.close()
         if self._owns_workdir:
             shutil.rmtree(self._workdir, ignore_errors=True)

@@ -135,7 +135,7 @@ def reduce_context(ctx: np.ndarray) -> np.ndarray:
     if ctx.shape == (CONTEXT_DIM,):
         return ctx.copy()
     if ctx.shape == (2 * CONTEXT_DIM,):
-        return ctx.reshape(CONTEXT_DIM, 2).max(axis=1)
+        return np.maximum(ctx[0::2], ctx[1::2])
     raise ValueError(f"context length must be 512 or 1024, got {ctx.shape}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -28,7 +29,8 @@ def _chunk(kind: bytes, payload: bytes) -> bytes:
     )
 
 
-def write_png(img: RgbImage, path: str | Path) -> None:
+def write_png(img: RgbImage, path: str | Path | BinaryIO) -> None:
+    """Write `img` as a PNG to a path, or to a binary file at its position."""
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 2, 0, 0, 0)
     # Each row is filter type 0, then the row's pixels.
     raw = np.zeros((img.height, 1 + 3 * img.width), dtype=np.uint8)
@@ -39,7 +41,10 @@ def write_png(img: RgbImage, path: str | Path) -> None:
         + _chunk(b"IDAT", zlib.compress(raw, 6))
         + _chunk(b"IEND", b"")
     )
-    Path(path).write_bytes(out)
+    if hasattr(path, "write"):
+        path.write(out)
+    else:
+        Path(path).write_bytes(out)
 
 
 def _unfilter(kind: int, row: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -11,12 +12,16 @@ from ..errors import ImageFormatError
 from .color import RgbImage, copy_pixels
 
 
-def write_ppm(img: RgbImage, path: str | Path) -> None:
+def write_ppm(img: RgbImage, path: str | Path | BinaryIO) -> None:
+    """Write `img` as a P6 file to a path, or to a binary file at its position."""
     header = np.frombuffer(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"), np.uint8)
     data = np.empty(header.size + 3 * img.width * img.height, dtype=np.uint8)
     data[: header.size] = header
     copy_pixels(img, data[header.size :].reshape(img.height, img.width, 3))
-    Path(path).write_bytes(data)
+    if hasattr(path, "write"):
+        path.write(data)
+    else:
+        Path(path).write_bytes(data)
 
 
 def read_ppm(path: str | Path) -> RgbImage:

@@ -1,15 +1,23 @@
+import io
+import itertools
 import json
+import re
 import socket
 import sys
 import threading
+import time
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rlaod.environment.external as external
 from rlaod.environment import ExternalDetector, SceneParams, generate_scene
 from rlaod.errors import ProtocolError
+from rlaod.imaging import write_ppm
+from rlaod.imaging.png import write_png
 
 STUB = [sys.executable, "-m", "rlaod.environment.stub_detector"]
 
@@ -86,11 +94,88 @@ class TestStdioTransport:
                 det.detect(image)
             assert list(tmp_path.iterdir()) == []
 
+    def test_removed_workdir_is_a_protocol_error(self, image, tmp_path):
+        workdir = tmp_path / "work"
+        with ExternalDetector(command=STUB, timeout=10, workdir=workdir) as det:
+            workdir.rmdir()
+            with pytest.raises(ProtocolError, match=re.escape(str(workdir))):
+                det.detect(image)
+
+    def test_failed_frame_write_names_and_removes_the_frame(self, image, tmp_path, monkeypatch):
+        def full_disk(img, frame):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(external, "write_ppm", full_disk)
+        with ExternalDetector(command=STUB, timeout=10, workdir=tmp_path) as det:
+            with pytest.raises(ProtocolError, match=re.escape(str(tmp_path / "frame_"))):
+                det.detect(image)
+            assert list(tmp_path.iterdir()) == []
+
+    def test_timeout_bounds_the_whole_response(self, image):
+        # One byte every 0.1 s and never a newline: each read is quick, the
+        # response never completes.
+        code = (
+            "import sys, time\n"
+            "sys.stdin.readline()\n"
+            "while True:\n"
+            "    sys.stdout.write('x'); sys.stdout.flush(); time.sleep(0.1)\n"
+        )
+        with ExternalDetector(command=[sys.executable, "-c", code], timeout=0.5) as det:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="timed out"):
+                det.detect(image)
+            assert time.monotonic() - start < 1.0
+
     def test_multiple_requests_increment_ids(self, image, tmp_path):
         fixture = make_fixture(tmp_path, {"detections": []})
         with ExternalDetector(command=STUB + ["--fixture", fixture], timeout=10) as det:
             det.detect(image)
             det.detect(image)  # id mismatch would raise
+
+
+def reading_child(log) -> list[str]:
+    """A detector that reads each request's image and answers with its
+    length and CRC-32 as one detection, bbox [0, 0, length, 1] and score
+    crc / 2**32, and appends each image path it is sent to `log`."""
+    code = (
+        "import json, sys, zlib\n"
+        f"log = open({str(log)!r}, 'a')\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    with open(req['image'], 'rb') as fh:\n"
+        "        data = fh.read()\n"
+        "    log.write(req['image'] + '\\n')\n"
+        "    log.flush()\n"
+        "    det = {'bbox': [0, 0, len(data), 1], 'score': zlib.crc32(data) / 2**32}\n"
+        "    print(json.dumps({'id': req['id'], 'detections': [det], 'context': [0.0] * 512}),\n"
+        "          flush=True)\n"
+    )
+    return [sys.executable, "-c", code]
+
+
+@pytest.mark.parametrize("fmt, writer", [("ppm", write_ppm), ("png", write_png)])
+def test_detector_reads_every_frame_byte_for_byte(tmp_path, fmt, writer):
+    # Large, small, large, gray then tinted: a shrinking frame that kept the
+    # bigger frame's tail would read longer than it was written.
+    sizes = ((96, 80), (24, 16), (96, 80))
+    images = [
+        generate_scene(k, SceneParams(width=w, height=h, tint_strength=tint)).image
+        for k, (tint, (w, h)) in enumerate(itertools.product((0.0, 0.3), sizes))
+    ]
+    log, workdir = tmp_path / "paths.txt", tmp_path / "work"
+    with ExternalDetector(command=reading_child(log), timeout=10, image_format=fmt,
+                          workdir=workdir) as det:
+        for image in images:
+            buf = io.BytesIO()
+            writer(image, buf)
+            sent = buf.getvalue()
+            (d,) = det.detect(image).detections
+            assert d.box.x_max == len(sent)
+            assert d.score * 2**32 == zlib.crc32(sent)
+    paths = log.read_text().splitlines()
+    assert len(paths) == len(images) and len(set(paths)) == 1
+    assert paths[0].startswith(str(workdir / "frame_")) and paths[0].endswith("." + fmt)
+    assert list(workdir.iterdir()) == []
 
 
 class TestTcpTransport:
@@ -237,7 +322,8 @@ _PAYLOADS = _JSON | st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# At least 300 examples; the fuzz profile runs more.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(payload=_PAYLOADS)
 def test_parse_fuzz(payload):
     """Whatever JSON a detector sends, parsing either raises ProtocolError
