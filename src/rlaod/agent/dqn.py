@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..errors import ContractViolation
 from .mlp import AdamState, MlpParams, adam_step, backward, forward
 
 
@@ -29,28 +30,58 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with uniform sampling."""
+    """Fixed-capacity FIFO transition store with uniform sampling.
+
+    States live once, in one float32 ring of `capacity + 1` rows: a
+    transition's state sits at its own row and its next state at the row
+    after it, which is also the following transition's state. So pushes
+    must follow trajectories: unless the previous transition was terminal,
+    a pushed `state` must be the previous `next_state` (the same array, or
+    one with the same float32 bits), or `push` raises ContractViolation
+    and stores nothing. A terminal transition's next state is not stored:
+    it points at one more row that stays zero, so `gather` returns zeros
+    for it, and `train_step` multiplies its term by `~terminal`. Arrays
+    pushed are not to be changed in place afterwards.
+    """
 
     def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.state_dim = state_dim
-        self._states = np.zeros((capacity, state_dim), dtype=np.float32)
-        self._next_states = np.zeros((capacity, state_dim), dtype=np.float32)
+        self._states = np.zeros((capacity + 2, state_dim), dtype=np.float32)  # ring, zero row
+        self._rows = np.zeros((2, capacity), dtype=np.int64)  # state rows, next-state rows
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity, dtype=np.float32)
         self._terminals = np.zeros(capacity, dtype=bool)
         self._cursor = 0
         self._size = 0
+        self._head = 0  # the row of the next pushed state
+        self._open = None  # the previous next_state while its trajectory goes on
 
     def __len__(self) -> int:
         return self._size
 
     def push(self, tr: Transition) -> None:
-        i = self._cursor
-        self._states[i] = tr.state
-        self._next_states[i] = tr.next_state
+        i, row = self._cursor, self._head
+        next_row = (row + 1) % (self.capacity + 1)
+        if self._open is None:
+            self._states[row] = tr.state
+        elif tr.state is not self._open and not np.array_equal(
+            # Bit for bit, as stored: -0.0 is not 0.0, and a NaN equals itself.
+            self._states[row].view(np.uint32),
+            np.asarray(tr.state, dtype=np.float32).view(np.uint32),
+        ):
+            raise ContractViolation(
+                "pushed state is not the previous transition's next_state, "
+                "and that transition was not terminal"
+            )
+        if not tr.terminal:
+            self._states[next_row] = tr.next_state
+        self._head = next_row
+        self._open = None if tr.terminal else tr.next_state
+        self._rows[0, i] = row
+        self._rows[1, i] = self.capacity + 1 if tr.terminal else next_row
         self._actions[i] = tr.action
         self._rewards[i] = tr.reward
         self._terminals[i] = tr.terminal
@@ -61,12 +92,14 @@ class ReplayBuffer:
         return rng.integers(0, self._size, size=batch_size)
 
     def gather(self, idx: np.ndarray) -> Batch:
+        n = len(idx)
+        both = self._states.take(self._rows.take(idx, axis=1).ravel(), axis=0)
         return Batch(
-            states=self._states[idx],
-            actions=self._actions[idx],
-            rewards=self._rewards[idx].astype(np.float64),
-            next_states=self._next_states[idx],
-            terminals=self._terminals[idx],
+            states=both[:n],
+            actions=self._actions.take(idx),
+            rewards=self._rewards.take(idx).astype(np.float64),
+            next_states=both[n:],
+            terminals=self._terminals.take(idx),
         )
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:

@@ -8,7 +8,11 @@ Response (one line): {"id": <int>,
 
 Transport is a child process speaking on stdio (default) or a TCP
 connection; either way one request is outstanding at a time, and
-`timeout` bounds the whole response, not each read.
+`timeout` bounds the whole response, not each read. A response whose id
+is an integer below the current request's answers a request that timed
+out; it is dropped, and the reply to the current request is awaited
+within the same deadline. Any other id that is not the request's is a
+protocol error.
 
 Frame file: each detector keeps one uniquely named frame file in its work
 directory and rewrites it in place for every request, so every request
@@ -64,14 +68,19 @@ class _LineChannel:
             where = " ".join(command) if command is not None else "%s:%s" % address
             raise ProtocolError(f"cannot connect to detector {where}: {exc}") from exc
 
-    def exchange(self, line: bytes, timeout: float) -> bytes:
-        """Send one line and return the next line received, all within
-        `timeout` seconds."""
+    def send(self, line: bytes) -> None:
+        """Write one line."""
         data = line + b"\n"
-        deadline = time.monotonic() + timeout
         try:
             while data:
                 data = data[os.write(self._out, data):]
+        except OSError as exc:
+            raise ProtocolError(f"detector connection failed: {exc}") from exc
+
+    def read_line(self, deadline: float, timeout: float) -> bytes:
+        """The next line received, by `deadline` (a `time.monotonic()`
+        value `timeout` seconds after the request was sent)."""
+        try:
             while b"\n" not in self._buf:
                 left = deadline - time.monotonic()
                 ready = left > 0 and select.select([self._in], [], [], left)[0]
@@ -99,6 +108,15 @@ class _LineChannel:
                 self.proc.wait()
         self.proc.stdin.close()
         self.proc.stdout.close()
+
+
+def _late(payload, req_id: int) -> bool:
+    """Whether `payload` answers an earlier request, one that timed out:
+    such an answer is dropped, and reading goes on within the deadline."""
+    if not isinstance(payload, dict):
+        return False
+    got = payload.get("id")
+    return type(got) is int and 0 <= got < req_id
 
 
 class ExternalDetector:
@@ -176,12 +194,16 @@ class ExternalDetector:
         self._next_id += 1
         try:
             request = json.dumps({"id": req_id, "image": self._write_frame(image)})
-            line = self._channel.exchange(request.encode("utf-8"), self.timeout)
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:  # covers decode errors and over-long integers
-                raise ProtocolError(f"malformed detector response: {exc}") from exc
-            return self._parse(payload, req_id)
+            deadline = time.monotonic() + self.timeout
+            self._channel.send(request.encode("utf-8"))
+            while True:
+                line = self._channel.read_line(deadline, self.timeout)
+                try:
+                    payload = json.loads(line)
+                except ValueError as exc:  # covers decode errors and over-long integers
+                    raise ProtocolError(f"malformed detector response: {exc}") from exc
+                if not _late(payload, req_id):
+                    return self._parse(payload, req_id)
         except BaseException:
             self._drop_frame()
             raise

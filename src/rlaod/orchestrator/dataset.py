@@ -13,7 +13,14 @@ from typing import Sequence
 
 from ..environment import Scene, SceneParams, generate_scene
 from ..errors import ConfigError, ImageFormatError
-from ..imaging import MAX_SIDE, estimate_brightness_level, read_ppm, value_channel, write_ppm
+from ..imaging import (
+    MAX_SIDE,
+    MIN_SIDE,
+    estimate_brightness_level,
+    read_ppm,
+    value_channel,
+    write_ppm,
+)
 from ..imaging.png import read_png, write_png
 from ..metrics import Box2D, GroundTruthBox, finite_extent
 from ..util import finite_floats
@@ -118,9 +125,10 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
 
     A manifest that cannot be read, or whose entries lack a key, hold a bad
     box, repeat an image id, give one outside [0, 2**64) or annotate an
-    image it does not list, raises ConfigError, and so does an image wider
-    or taller than MAX_SIDE, the largest frame a resize makes; an image
-    that cannot be read raises ImageFormatError.
+    image it does not list, raises ConfigError, and so does an image with
+    a side below MIN_SIDE or above MAX_SIDE, the smallest and largest
+    frames a resize makes; an image that cannot be read raises
+    ImageFormatError.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -163,10 +171,11 @@ def load_dataset(manifest_path: str | Path) -> list[Scene]:
             image = read_png(path) if path.suffix == ".png" else read_ppm(path)
         except OSError as exc:
             raise ImageFormatError(f"cannot read image {path}: {exc}") from exc
-        if max(image.width, image.height) > MAX_SIDE:
+        sides = (image.width, image.height)
+        if min(sides) < MIN_SIDE or max(sides) > MAX_SIDE:
             raise ConfigError(
                 f"{where}: image {path} is {image.width}x{image.height}, "
-                f"beyond the {MAX_SIDE}-pixel side limit"
+                f"outside the {MIN_SIDE}- to {MAX_SIDE}-pixel side limits"
             )
         mean_area = (
             float(sum(t.box.area for t in truths) / len(truths)) if truths else 0.0

@@ -443,6 +443,36 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width, height", [(6, 6), (7, 20), (20, 7)])
+    def test_image_below_min_side_is_2(self, tmp_path, tiny_config_file, capsys, width, height):
+        # Frames are never smaller than 8 pixels a side, and truths would
+        # not follow that clamp either.
+        data = tmp_path / "data"
+        data.mkdir()
+        write_ppm(RgbImage(np.zeros((1, height, width), dtype=np.uint8)), data / "small.ppm")
+        manifest = {
+            "images": [{"id": 0, "file": "small.ppm", "width": width, "height": height}],
+            "annotations": [{"image_id": 0, "bbox": [1, 1, 4, 4], "category": 0}],
+        }
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "r"
+        assert (
+            run_cli("--config", tiny_config_file, "evaluate", "--modes", "FR", "--data", str(data),
+                    "--out", str(out))
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"small.ppm is {width}x{height}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_image_at_min_side_loads(self, tmp_path):
+        write_ppm(RgbImage(np.zeros((1, 8, 8), dtype=np.uint8)), tmp_path / "small.ppm")
+        manifest = {"images": [{"id": 0, "file": "small.ppm", "width": 8, "height": 8}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (scene,) = load_dataset(tmp_path)
+        assert (scene.image.width, scene.image.height) == (8, 8)
+
     def test_image_at_max_side_loads(self, tmp_path):
         write_ppm(RgbImage(np.zeros((1, 8, 4096), dtype=np.uint8)), tmp_path / "wide.ppm")
         manifest = {"images": [{"id": 0, "file": "wide.ppm", "width": 4096, "height": 8}]}

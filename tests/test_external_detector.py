@@ -126,6 +126,27 @@ class TestStdioTransport:
                 det.detect(image)
             assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("pause", [0.5, 0.0])
+    def test_late_answer_to_a_timed_out_request_is_dropped(self, image, pause):
+        # Request 0 is answered after 0.3 s, every later one at once. With
+        # a pause the late answer waits in the pipe; without one it comes
+        # while request 1 is waiting, ahead of request 1's answer.
+        code = (
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            "    if req['id'] == 0:\n"
+            "        time.sleep(0.3)\n"
+            "    print(json.dumps({'id': req['id'], 'detections': [],\n"
+            "                      'context': [float(req['id'])] * 512}), flush=True)\n"
+        )
+        with ExternalDetector(command=[sys.executable, "-c", code], timeout=0.2) as det:
+            with pytest.raises(ProtocolError, match="timed out"):
+                det.detect(image)
+            for req_id in (1, 2):
+                time.sleep(pause)
+                assert det.detect(image).context[0] == float(req_id)
+
     def test_multiple_requests_increment_ids(self, image, tmp_path):
         fixture = make_fixture(tmp_path, {"detections": []})
         with ExternalDetector(command=STUB + ["--fixture", fixture], timeout=10) as det:
@@ -261,6 +282,23 @@ class TestBridgeFailures:
     def test_wrong_response_id(self, image):
         child = one_reply_child(GOOD_REPLY.replace("req['id']", "req['id'] + 1"))
         with ExternalDetector(command=child, timeout=5) as det:
+            with pytest.raises(ProtocolError, match="does not match"):
+                det.detect(image)
+
+    @pytest.mark.parametrize("reply_id", ["-1", "0.0", "'0'", "None"])
+    def test_only_an_earlier_integer_id_is_late(self, image, reply_id):
+        # Request 0 is answered; request 1's answer carries `reply_id`,
+        # which names no earlier request, so it is not dropped as late.
+        code = (
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            f"    rid = req['id'] if req['id'] == 0 else {reply_id}\n"
+            "    print(json.dumps({'id': rid, 'detections': [], 'context': [0.0] * 512}),\n"
+            "          flush=True)\n"
+        )
+        with ExternalDetector(command=[sys.executable, "-c", code], timeout=5) as det:
+            det.detect(image)
             with pytest.raises(ProtocolError, match="does not match"):
                 det.detect(image)
 
